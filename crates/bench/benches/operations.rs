@@ -73,9 +73,7 @@ fn bench_query(c: &mut Criterion) {
 /// Point queries on the PR-4 tagged/memoized probe path: per scheme, a hit
 /// series (stored edges) and a miss series (absent edges over the same
 /// sources — the case the tag bytes win outright, no payload is ever
-/// touched). CuckooGraph additionally runs the pre-change reference probe
-/// (`has_edge_unmemoized`: full re-hash per table and array, payload key
-/// compares) so the probe-path speedup stays visible in `cargo bench` output.
+/// touched).
 fn bench_point_query(c: &mut Criterion) {
     let edges = generate(DatasetKind::Caida, SCALE, SEED).distinct_edges();
     // Misses reuse real sources with destinations shifted out of the id space,
@@ -111,34 +109,6 @@ fn bench_point_query(c: &mut Criterion) {
             });
         });
     }
-    // The pre-change CuckooGraph probe, as a live baseline series.
-    let mut ours = cuckoograph::CuckooGraph::new();
-    for &(u, v) in &edges {
-        use graph_api::DynamicGraph;
-        ours.insert_edge(u, v);
-    }
-    group.bench_function(BenchmarkId::new("hit", "Ours (reference probe)"), |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &(u, v) in &edges {
-                if ours.has_edge_unmemoized(u, v) {
-                    hits += 1;
-                }
-            }
-            hits
-        });
-    });
-    group.bench_function(BenchmarkId::new("miss", "Ours (reference probe)"), |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &(u, v) in &misses {
-                if ours.has_edge_unmemoized(u, v) {
-                    hits += 1;
-                }
-            }
-            hits
-        });
-    });
     group.finish();
 }
 
@@ -173,8 +143,7 @@ fn bench_delete(c: &mut Criterion) {
     group.finish();
 }
 
-/// Successor scans through the zero-allocation visitor, with the CuckooGraph
-/// Vec-collecting path as an extra series so the refactor's win stays visible.
+/// Successor scans through the zero-allocation visitor.
 fn bench_successor_scan(c: &mut Criterion) {
     let edges = generate(DatasetKind::NotreDame, SCALE, SEED).distinct_edges();
     let mut group = c.benchmark_group("scan_successors_NotreDame");
@@ -197,65 +166,6 @@ fn bench_successor_scan(c: &mut Criterion) {
                 });
             },
         );
-        if scheme == SchemeKind::CuckooGraph {
-            group.bench_with_input(
-                BenchmarkId::from_parameter("Ours (Vec path)"),
-                &scheme,
-                |b, _| {
-                    b.iter(|| {
-                        let mut sum = 0u64;
-                        for &u in &sources {
-                            for v in graph.successors(u) {
-                                sum = sum.wrapping_add(v);
-                            }
-                        }
-                        sum
-                    });
-                },
-            );
-        }
-    }
-    // The pre-SWAR scalar scan as a live baseline series, so the tag-word
-    // iteration win stays visible in `cargo bench` output.
-    use graph_api::DynamicGraph;
-    let mut ours = cuckoograph::CuckooGraph::new();
-    ours.insert_edges(&edges);
-    let mut sources = Vec::new();
-    ours.for_each_node(&mut |u| sources.push(u));
-    group.bench_function(BenchmarkId::from_parameter("Ours (scalar scan)"), |b| {
-        b.iter(|| {
-            let mut sum = 0u64;
-            for &u in &sources {
-                ours.for_each_successor_scalar(u, &mut |v| sum = sum.wrapping_add(v));
-            }
-            sum
-        });
-    });
-    // The PR-8 pair: the contiguous-segment scan (the default, labelled
-    // explicitly) against the chain table walk (`with_scan_segments(false)`,
-    // the pre-change scan shape) on the same loaded graph.
-    let configured = [
-        (
-            "Ours (segment)",
-            cuckoograph::CuckooGraphConfig::default().with_scan_segments(true),
-        ),
-        (
-            "Ours (table-walk)",
-            cuckoograph::CuckooGraphConfig::default().with_scan_segments(false),
-        ),
-    ];
-    for (label, config) in configured {
-        let mut graph = cuckoograph::CuckooGraph::with_config(config);
-        graph.insert_edges(&edges);
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            b.iter(|| {
-                let mut sum = 0u64;
-                for &u in &sources {
-                    graph.for_each_successor(u, &mut |v| sum = sum.wrapping_add(v));
-                }
-                sum
-            });
-        });
     }
     group.finish();
 }
@@ -303,10 +213,7 @@ fn bench_batched_insert(c: &mut Criterion) {
 
 /// Expand/contract-heavy churn (PR 5): interleaved bulk insert/delete waves
 /// drive every hot node's S-CHT chain up through its transformation
-/// thresholds and back down to inline slots, so resize cost dominates. The
-/// scratch-backed engine is measured against the same engine with the
-/// persistent rebuild buffers disabled (fresh allocations per resize event —
-/// the pre-change cost shape) and against the baseline schemes.
+/// thresholds and back down to inline slots, so resize cost dominates.
 fn bench_resize_churn(c: &mut Criterion) {
     const WAVES: usize = 2;
     let mut edges = generate(DatasetKind::Caida, SCALE, SEED).distinct_edges();
@@ -333,41 +240,6 @@ fn bench_resize_churn(c: &mut Criterion) {
                 );
             },
         );
-    }
-    // The oracle-configured engine variants: the alloc-per-event resize
-    // reference (PR-5 scratch disabled), the pool-off reference (PR-6 table
-    // pool disabled), and the fully recycled default ("Ours (pooled)" — the
-    // same configuration as the scheme row, labelled so the pooled-vs-oracle
-    // comparison reads directly off the criterion output).
-    let configured = [
-        (
-            "Ours (alloc-per-event resize)",
-            cuckoograph::CuckooGraphConfig::default().with_resize_scratch(false),
-        ),
-        (
-            "Ours (pool-off)",
-            cuckoograph::CuckooGraphConfig::default().with_table_pool(false),
-        ),
-        (
-            "Ours (pooled)",
-            cuckoograph::CuckooGraphConfig::default().with_table_pool(true),
-        ),
-    ];
-    for (label, config) in configured {
-        group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            use graph_api::DynamicGraph;
-            b.iter_batched(
-                || cuckoograph::CuckooGraph::with_config(config.clone()),
-                |mut graph| {
-                    for _ in 0..WAVES {
-                        graph.insert_edges(&edges);
-                        graph.remove_edges(&edges);
-                    }
-                    graph
-                },
-                BatchSize::SmallInput,
-            );
-        });
     }
     group.finish();
 }

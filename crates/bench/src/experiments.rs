@@ -8,7 +8,7 @@
 use crate::schemes::SchemeKind;
 use crate::workload::{
     memory_curve, run_batched_inserts, run_churn_waves, run_deletes, run_inserts, run_queries,
-    run_successor_scans, run_successor_scans_vec,
+    run_successor_scans,
 };
 use crate::HARNESS_SEED;
 use cuckoograph::chain::{ChainParams, TableChain};
@@ -138,28 +138,20 @@ pub enum Experiment {
     Fig17,
     /// Figure 18: Neo4j-like store with and without CuckooGraph.
     Fig18,
-    /// Successor-scan throughput through the zero-allocation visitor (and the
-    /// Vec-collecting path it replaced).
+    /// Successor-scan throughput through the zero-allocation visitor.
     SuccScan,
     /// Batched vs per-edge insertion throughput.
     BatchInsert,
     /// Sharded ingest scaling: batched insert/delete throughput per shard count.
     Shards,
     /// Expand/contract-heavy churn: interleaved bulk insert/delete waves per
-    /// scheme, with the alloc-per-event resize reference as an extra series.
+    /// scheme.
     Churn,
-    /// Memory-vs-speed frontier: the pooled/arena engine against the
-    /// pool-off oracle under churn, across a sweep of workload sizes.
-    Frontier,
-    /// Degree-skew sweep behind the contiguous scan segments: segment scan vs
-    /// the `with_scan_segments(false)` table-walk oracle, with deletes
-    /// punching tombstones into the live segments.
-    ScanFrontier,
     /// Durability lifecycle: ingest under each AOF sync policy (plus the
     /// AOF-off baseline), then kill-free recovery time from log and snapshot.
     Recover,
     /// Pipelined concurrent serving: loopback connections × pipeline-depth
-    /// sweep against the reactor, pipelined dispatch vs the serial oracle.
+    /// sweep against the reactor.
     Serve,
 }
 
@@ -193,8 +185,6 @@ impl Experiment {
             BatchInsert,
             Shards,
             Churn,
-            Frontier,
-            ScanFrontier,
             Recover,
             Serve,
         ]
@@ -228,8 +218,6 @@ impl Experiment {
             Experiment::BatchInsert => "batch",
             Experiment::Shards => "shards",
             Experiment::Churn => "churn",
-            Experiment::Frontier => "frontier",
-            Experiment::ScanFrontier => "scanfrontier",
             Experiment::Recover => "recover",
             Experiment::Serve => "serve",
         }
@@ -268,18 +256,10 @@ impl Experiment {
             Experiment::BatchInsert => "batched vs per-edge insertion throughput",
             Experiment::Shards => "sharded ingest scaling across shard counts",
             Experiment::Churn => "expand/contract churn: bulk insert/delete waves per scheme",
-            Experiment::Frontier => {
-                "memory-vs-speed frontier: pooled/arena engine vs pool-off oracle under churn"
-            }
-            Experiment::ScanFrontier => {
-                "degree-skew sweep: segment scan vs table-walk oracle under deletes"
-            }
             Experiment::Recover => {
                 "durability lifecycle: ingest per AOF sync policy, then recovery time"
             }
-            Experiment::Serve => {
-                "pipelined serving: connections x depth sweep, concurrent vs serial dispatch"
-            }
+            Experiment::Serve => "pipelined serving: connections x depth sweep against the reactor",
         }
     }
 
@@ -311,8 +291,6 @@ impl Experiment {
             Experiment::BatchInsert => batch_insert(scale),
             Experiment::Shards => shards_scaling(scale),
             Experiment::Churn => churn_waves(scale),
-            Experiment::Frontier => frontier(scale),
-            Experiment::ScanFrontier => scan_frontier(scale),
             Experiment::Recover => recover(scale),
             Experiment::Serve => serve(scale),
         }
@@ -364,7 +342,7 @@ fn table2() -> ExperimentReport {
     let mut chain: TableChain<NodeId> = TableChain::new(params, HARNESS_SEED);
     let mut rng = cuckoograph::rng::KickRng::new(HARNESS_SEED);
     let mut placements = 0u64;
-    let mut scratch = cuckoograph::RebuildScratch::persistent();
+    let mut scratch = cuckoograph::RebuildScratch::new();
     let mut rows = Vec::new();
     let n = params.base_len;
     for step in 0..8 {
@@ -945,24 +923,17 @@ fn successor_scan(scale: f64) -> ExperimentReport {
             .iter()
             .map(|s| s.label().to_string()),
     );
-    headers.push("Ours (Vec path)".into());
     let mut rows = Vec::new();
     for kind in datasets_for_ops() {
         let dedup = distinct_edges(kind, scale);
         let mut row = vec![kind.name().to_string()];
-        let mut cuckoo_vec = String::new();
         for scheme in SchemeKind::paper_lineup() {
             let mut graph = scheme.build();
             graph.insert_edges(&dedup);
             let sources = scan_sources(graph.as_ref());
             let (mops, _) = run_successor_scans(graph.as_ref(), &sources, SCAN_ROUNDS);
             row.push(fmt(mops));
-            if scheme == SchemeKind::CuckooGraph {
-                let (vec_mops, _) = run_successor_scans_vec(graph.as_ref(), &sources, SCAN_ROUNDS);
-                cuckoo_vec = fmt(vec_mops);
-            }
         }
-        row.push(cuckoo_vec);
         rows.push(row);
     }
     ExperimentReport {
@@ -973,9 +944,7 @@ fn successor_scan(scale: f64) -> ExperimentReport {
             rows,
         }],
         notes: vec![
-            "Every scheme is scanned through `for_each_successor`; the last column repeats \
-             CuckooGraph through the Vec-collecting `successors()` path the visitors replaced \
-             (one heap allocation per vertex visit)."
+            "Every scheme is scanned through the zero-allocation `for_each_successor` visitor."
                 .into(),
         ],
     }
@@ -1024,8 +993,7 @@ fn batch_insert(scale: f64) -> ExperimentReport {
     }
 }
 
-/// The shard counts the scaling experiment (and the `perf_smoke` thread
-/// sweep) step through.
+/// The shard counts the scaling experiment steps through.
 pub const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn shards_scaling(scale: f64) -> ExperimentReport {
@@ -1111,22 +1079,6 @@ fn churn_waves(scale: f64) -> ExperimentReport {
         );
         rows.push(vec![scheme.label().to_string(), fmt(mops)]);
     }
-    // The alloc-per-event resize reference: the same engine with the
-    // persistent rebuild scratch disabled, i.e. the pre-PR-5 cost shape.
-    let mut reference =
-        CuckooGraph::with_config(CuckooGraphConfig::default().with_resize_scratch(false));
-    let reference_mops = run_churn_waves(&mut reference, &edges, CHURN_WAVES);
-    rows.push(vec![
-        "Ours (alloc-per-event resize)".into(),
-        fmt(reference_mops),
-    ]);
-    // The allocate-per-table reference: the same engine with the table pool
-    // disabled, i.e. the pre-PR-6 cost shape (every TRANSFORMATION event pays
-    // the allocator for its fresh tables).
-    let mut pool_off =
-        CuckooGraph::with_config(CuckooGraphConfig::default().with_table_pool(false));
-    let pool_off_mops = run_churn_waves(&mut pool_off, &edges, CHURN_WAVES);
-    rows.push(vec!["Ours (pool-off)".into(), fmt(pool_off_mops)]);
     ExperimentReport {
         id: "churn".into(),
         tables: vec![ReportTable {
@@ -1141,205 +1093,7 @@ fn churn_waves(scale: f64) -> ExperimentReport {
         notes: vec![
             "Each wave bulk-inserts the whole deduplicated edge set and bulk-deletes it \
              again, so every hot node's S-CHT chain expands through its thresholds and \
-             contracts back to inline slots. The last row re-runs Ours with the persistent \
-             rebuild scratch disabled (fresh buffers per resize event) — the pre-change \
-             reference the perf_smoke resize guard asserts against. The pool-off row \
-             disables the PR-6 table pool instead (fresh table buffers per TRANSFORMATION \
-             event) — the reference the perf_smoke pool guard asserts against."
-                .into(),
-        ],
-    }
-}
-
-/// Workload multipliers the frontier sweep applies on top of the harness
-/// scale, so one invocation shows how the pooled-vs-oracle gap moves as the
-/// structure grows (`REPRO_SCALE` shifts the whole sweep up to the
-/// multi-million-edge regime).
-pub const FRONTIER_MULTIPLIERS: [f64; 3] = [1.0, 2.0, 4.0];
-
-/// The memory-vs-speed frontier: at each workload size, the pooled/arena
-/// engine and the pool-off oracle run the same churn waves, then reload and
-/// report their memory footprint before and after arena compaction.
-fn frontier(scale: f64) -> ExperimentReport {
-    let mut rows = Vec::new();
-    let mut sizes = Vec::new();
-    for mult in FRONTIER_MULTIPLIERS {
-        // The dense profile: every hot node's chain climbs through several
-        // TRANSFORMATION rounds per wave, so table recycling dominates.
-        let mut edges = distinct_edges(DatasetKind::DenseGraph, scale * mult);
-        edges.sort_unstable();
-        sizes.push(edges.len());
-        for (label, pool) in [("Ours (pooled)", true), ("Ours (pool-off)", false)] {
-            let config = CuckooGraphConfig::default().with_table_pool(pool);
-            let mut graph = CuckooGraph::with_config(config);
-            let churn = run_churn_waves(&mut graph, &edges, CHURN_WAVES);
-            assert_eq!(graph.edge_count(), 0, "{label}: churn left edges behind");
-            // Reload so the memory columns describe a populated structure
-            // whose arena carries the churn history's fragmentation.
-            let reload = run_batched_inserts(&mut graph, &edges);
-            assert_eq!(
-                graph.edge_count(),
-                edges.len(),
-                "{label}: reload dropped edges"
-            );
-            let stats = graph.stats();
-            let loaded_bytes = graph.memory_bytes();
-            let freed = graph.compact_arena();
-            let compacted_bytes = graph.memory_bytes();
-            assert!(
-                compacted_bytes <= loaded_bytes,
-                "{label}: arena compaction grew the footprint"
-            );
-            if pool {
-                assert!(stats.pool_hits > 0, "pooled run never hit the pool");
-            } else {
-                assert_eq!(stats.pool_hits, 0, "oracle run must not recycle");
-                assert_eq!(stats.pool_retained_bytes, 0, "oracle run retained buffers");
-            }
-            rows.push(vec![
-                edges.len().to_string(),
-                label.to_string(),
-                fmt(churn),
-                fmt(reload),
-                loaded_bytes.to_string(),
-                compacted_bytes.to_string(),
-                freed.to_string(),
-                stats.pool_hits.to_string(),
-                stats.pool_retained_bytes.to_string(),
-            ]);
-        }
-    }
-    ExperimentReport {
-        id: "frontier".into(),
-        tables: vec![ReportTable {
-            title: format!(
-                "Memory-vs-speed frontier — {} churn waves per point, dense profile \
-                 ({:?} edges at scale {scale})",
-                CHURN_WAVES, sizes
-            ),
-            headers: vec![
-                "Edges".into(),
-                "Variant".into(),
-                "Churn (Mops)".into(),
-                "Reload (Mops)".into(),
-                "Mem (B)".into(),
-                "Mem compacted (B)".into(),
-                "Blocks freed".into(),
-                "Pool hits".into(),
-                "Pool retained (B)".into(),
-            ],
-            rows,
-        }],
-        notes: vec![
-            "Each point churns the whole edge set through bulk insert+delete waves, \
-             reloads it, and compacts the slot arena. The pooled engine should match or \
-             beat the pool-off oracle on churn throughput while its footprint (which \
-             honestly counts retained pool buffers and arena slack) stays within a \
-             constant factor — the memory-vs-speed trade the table pool is buying."
-                .into(),
-            "Scale the sweep with REPRO_SCALE to reach the multi-million-edge regime \
-             (e.g. REPRO_SCALE=0.1 on the dense profile)."
-                .into(),
-        ],
-    }
-}
-
-/// Per-source successor counts of the flat profiles in the scan-frontier
-/// sweep: below the transformation threshold (inline slots, no segments),
-/// just above it, and deep into segment territory. The skewed profile halves
-/// a hub budget instead of fixing a degree.
-pub const SCAN_FRONTIER_DEGREES: [usize; 3] = [4, 32, 256];
-
-/// The scan-frontier sweep: at each degree profile the segment engine and the
-/// `with_scan_segments(false)` table-walk oracle load the same adjacencies,
-/// delete every third successor (punching tombstones into the live segments
-/// and tripping the dead-quarter compaction), and then scan what is left.
-fn scan_frontier(scale: f64) -> ExperimentReport {
-    // Edge budget per profile, matched across rows so the columns compare
-    // degree shape, not workload size.
-    let budget = ((2_000_000.0 * scale) as usize).max(256);
-    let mut profiles: Vec<(String, Vec<(NodeId, NodeId)>)> = Vec::new();
-    for degree in SCAN_FRONTIER_DEGREES {
-        let sources = (budget / degree).max(1);
-        let mut edges = Vec::with_capacity(sources * degree);
-        for s in 0..sources as NodeId {
-            let u = s + 1;
-            for j in 0..degree as NodeId {
-                edges.push((u, (u << 24) + j + 1));
-            }
-        }
-        profiles.push((format!("uniform d={degree}"), edges));
-    }
-    // Skewed profile: hub degrees halve source by source, so one scan mixes a
-    // few segment-backed giants with an inline-slot tail.
-    let mut edges = Vec::with_capacity(budget);
-    let mut hub: NodeId = 1;
-    let mut degree = budget / 2;
-    while edges.len() < budget {
-        for j in 0..degree.max(2) as NodeId {
-            edges.push((hub, (hub << 24) + j + 1));
-        }
-        hub += 1;
-        degree /= 2;
-    }
-    profiles.push(("power-law".into(), edges));
-
-    let mut rows = Vec::new();
-    for (label, edges) in &profiles {
-        let mut pair = Vec::new();
-        for segments in [true, false] {
-            let config = CuckooGraphConfig::default().with_scan_segments(segments);
-            let mut graph = CuckooGraph::with_config(config);
-            graph.insert_edges(edges);
-            for (k, &(u, v)) in edges.iter().enumerate() {
-                if k % 3 == 0 {
-                    graph.delete_edge(u, v);
-                }
-            }
-            let sources = scan_sources(&graph);
-            let (mops, visited) = run_successor_scans(&graph, &sources, SCAN_ROUNDS);
-            pair.push((mops, visited, graph.stats()));
-        }
-        let (seg_mops, seg_visited, seg_stats) = &pair[0];
-        let (walk_mops, walk_visited, _) = &pair[1];
-        assert_eq!(
-            seg_visited, walk_visited,
-            "{label}: segment scan and table-walk oracle disagree"
-        );
-        rows.push(vec![
-            label.clone(),
-            fmt(*seg_mops),
-            fmt(*walk_mops),
-            format!("{:.2}x", seg_mops / walk_mops.max(f64::MIN_POSITIVE)),
-            seg_stats.segment_bytes.to_string(),
-            seg_stats.segment_tombstones.to_string(),
-            seg_stats.segment_compactions.to_string(),
-        ]);
-    }
-    ExperimentReport {
-        id: "scanfrontier".into(),
-        tables: vec![ReportTable {
-            title: format!(
-                "Scan frontier — segment scan vs table-walk oracle, {budget}-edge budget \
-                 per profile, every third successor deleted"
-            ),
-            headers: vec![
-                "Profile".into(),
-                "Segments (Mops)".into(),
-                "Table-walk (Mops)".into(),
-                "Ratio".into(),
-                "Segment bytes".into(),
-                "Tombstones".into(),
-                "Compactions".into(),
-            ],
-            rows,
-        }],
-        notes: vec![
-            "Both variants visit identical successor sets (asserted per profile); the \
-             ratio column is the contiguous-segment speedup over the chained-table walk. \
-             Low uniform degrees stay in inline slots (no segments, ratio ≈ 1); the \
-             tombstone and compaction columns show the delete wave exercising the \
-             incremental segment maintenance instead of rebuilds."
+             contracts back to inline slots."
                 .into(),
         ],
     }
@@ -1656,7 +1410,6 @@ fn serve(scale: f64) -> ExperimentReport {
         .iter()
         .map(|p| {
             vec![
-                if p.concurrent { "pipelined" } else { "serial" }.to_string(),
                 p.connections.to_string(),
                 p.depth.to_string(),
                 p.ops.to_string(),
@@ -1675,7 +1428,6 @@ fn serve(scale: f64) -> ExperimentReport {
                 sweep.preload_edges, sweep.ops_per_conn, sweep.write_pct, sweep.workers
             ),
             headers: vec![
-                "Dispatch".into(),
                 "Conns".into(),
                 "Depth".into(),
                 "Ops".into(),
@@ -1686,13 +1438,11 @@ fn serve(scale: f64) -> ExperimentReport {
             rows,
         }],
         notes: vec![
-            "`pipelined` answers graph reads inline on the workers from sharded read \
-             views and group-commits writes in batches; `serial` funnels every command \
-             through the single writer (the dispatch oracle). The pipelined win grows \
-             with depth — at depth 1 both modes measure ping-pong RTT. Latency \
-             percentiles are per burst of `depth` commands, so deeper points trade \
-             per-burst latency for throughput. On single-core runners the spread \
-             narrows: the reactor's workers, writer and the clients time-slice one CPU."
+            "The reactor answers graph reads inline on the workers from sharded read \
+             views and group-commits writes in batches. Depth 1 measures ping-pong RTT; \
+             latency percentiles are per burst of `depth` commands, so deeper points \
+             trade per-burst latency for throughput. On single-core runners the \
+             reactor's workers, writer and the clients time-slice one CPU."
                 .into(),
         ],
     }
@@ -1766,9 +1516,9 @@ mod tests {
     }
 
     #[test]
-    fn successor_scan_report_covers_every_scheme_plus_vec_column() {
+    fn successor_scan_report_covers_every_scheme() {
         let report = successor_scan(TEST_SCALE);
-        assert_eq!(report.tables[0].headers.len(), 7);
+        assert_eq!(report.tables[0].headers.len(), 6);
         assert_eq!(report.tables[0].rows.len(), 7);
         for row in &report.tables[0].rows {
             for cell in &row[1..] {
@@ -1806,62 +1556,14 @@ mod tests {
     }
 
     #[test]
-    fn churn_report_covers_every_scheme_plus_reference_rows() {
+    fn churn_report_covers_every_scheme() {
         let report = churn_waves(TEST_SCALE);
         let rows = &report.tables[0].rows;
-        assert_eq!(rows.len(), SchemeKind::paper_lineup().len() + 2);
+        assert_eq!(rows.len(), SchemeKind::paper_lineup().len());
         for row in rows {
             let v: f64 = row[1].parse().unwrap();
             assert!(v > 0.0, "non-positive churn throughput: {row:?}");
         }
-        assert!(rows[rows.len() - 2][0].contains("alloc-per-event"));
-        assert!(rows.last().unwrap()[0].contains("pool-off"));
-    }
-
-    #[test]
-    fn frontier_report_pairs_pooled_and_oracle_per_size() {
-        let report = frontier(TEST_SCALE);
-        let rows = &report.tables[0].rows;
-        assert_eq!(rows.len(), 2 * FRONTIER_MULTIPLIERS.len());
-        for pair in rows.chunks(2) {
-            assert_eq!(pair[0][1], "Ours (pooled)");
-            assert_eq!(pair[1][1], "Ours (pool-off)");
-            // Same workload size per pair.
-            assert_eq!(pair[0][0], pair[1][0]);
-            for row in pair {
-                let churn: f64 = row[2].parse().unwrap();
-                let mem: usize = row[4].parse().unwrap();
-                let compacted: usize = row[5].parse().unwrap();
-                assert!(churn > 0.0, "non-positive frontier churn: {row:?}");
-                assert!(compacted <= mem, "compaction grew memory: {row:?}");
-            }
-            let pooled_hits: u64 = pair[0][7].parse().unwrap();
-            let oracle_hits: u64 = pair[1][7].parse().unwrap();
-            assert!(pooled_hits > 0, "pooled run never hit the pool");
-            assert_eq!(oracle_hits, 0, "oracle run recycled tables");
-        }
-    }
-
-    #[test]
-    fn scanfrontier_report_spans_inline_and_segment_regimes() {
-        let report = scan_frontier(TEST_SCALE);
-        let rows = &report.tables[0].rows;
-        assert_eq!(rows.len(), SCAN_FRONTIER_DEGREES.len() + 1);
-        for row in rows {
-            let seg: f64 = row[1].parse().unwrap();
-            let walk: f64 = row[2].parse().unwrap();
-            assert!(seg > 0.0 && walk > 0.0, "non-positive scan Mops: {row:?}");
-            assert!(row[3].ends_with('x'));
-        }
-        // d=4 stays in inline slots: no segments to carve or tombstone.
-        assert_eq!(rows[0][4], "0", "inline-degree row grew segments: {rows:?}");
-        assert_eq!(rows[0][5], "0");
-        // d=256 lives in segments, and the delete wave punched tombstones.
-        let last_uniform = &rows[SCAN_FRONTIER_DEGREES.len() - 1];
-        let bytes: usize = last_uniform[4].parse().unwrap();
-        let tombs: u64 = last_uniform[5].parse().unwrap();
-        assert!(bytes > 0, "high-degree row carries no segments: {rows:?}");
-        assert!(tombs > 0, "delete wave left no tombstones: {rows:?}");
     }
 
     #[test]

@@ -16,15 +16,12 @@ pub mod schemes;
 pub mod serve;
 pub mod workload;
 
-pub use experiments::{
-    Experiment, ExperimentReport, ReportTable, FRONTIER_MULTIPLIERS, SHARD_SWEEP,
-};
+pub use experiments::{Experiment, ExperimentReport, ReportTable, SHARD_SWEEP};
 pub use schemes::SchemeKind;
 pub use serve::{run_serve_point, run_serve_sweep, ServePoint, ServeSweep};
 pub use workload::{
     run_batched_inserts, run_churn_waves, run_deletes, run_inserts, run_queries,
-    run_read_under_ingest, run_successor_scans, run_successor_scans_scalar,
-    run_successor_scans_vec, Mops, ReadUnderIngestPoint,
+    run_successor_scans, Mops,
 };
 
 /// The scale factor applied to the Table IV dataset profiles when the harness

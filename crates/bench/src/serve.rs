@@ -2,14 +2,9 @@
 //!
 //! Drives real TCP connections against a [`Reactor`] (the kvstore's
 //! non-blocking serving front end) with a configurable connections ×
-//! pipeline-depth sweep, in both dispatch modes:
-//!
-//! * **pipelined** — the default reactor: graph reads answered inline on the
-//!   workers from sharded read views, writes group-committed in batches by
-//!   the single durable writer;
-//! * **serial** — [`ServerConfig::with_concurrent_dispatch`]`(false)`: every
-//!   command funnels through the writer one queue hop at a time — the
-//!   serial-dispatch oracle the concurrent path is measured against.
+//! pipeline-depth sweep: graph reads answered inline on the workers from
+//! sharded read views, writes group-committed in batches by the single
+//! durable writer.
 //!
 //! Each client thread sends bursts of `depth` commands in one write and reads
 //! the `depth` replies back before the next burst, so a depth-1 sweep point
@@ -33,8 +28,6 @@ use std::time::{Duration, Instant};
 /// One measured sweep point.
 #[derive(Debug, Clone)]
 pub struct ServePoint {
-    /// `true` = pipelined concurrent dispatch, `false` = serial oracle.
-    pub concurrent: bool,
     /// Client connections driving load concurrently.
     pub connections: usize,
     /// Commands per burst on each connection.
@@ -112,7 +105,7 @@ fn command_wire(rng: &mut Xorshift, nodes: u64, write_pct: u64) -> Vec<u8> {
     RespValue::command(&parts).encode().to_vec()
 }
 
-fn spawn_loaded_reactor(sweep: &ServeSweep, concurrent: bool) -> Reactor {
+fn spawn_loaded_reactor(sweep: &ServeSweep) -> Reactor {
     let cfg = DurabilityConfig::new("kv-serve").with_sync_policy(SyncPolicy::Never);
     let (durable, _) = DurableServer::open(SimVfs::new(), cfg, || {
         let mut s = Server::new();
@@ -126,13 +119,7 @@ fn spawn_loaded_reactor(sweep: &ServeSweep, concurrent: bool) -> Reactor {
         .map(|_| (rng.next() % nodes, rng.next() % nodes, 1))
         .collect();
     durable.server().graph().ingest_weighted_batch(&preload);
-    Reactor::spawn(
-        durable,
-        ServerConfig::new()
-            .with_workers(sweep.workers)
-            .with_concurrent_dispatch(concurrent),
-    )
-    .expect("spawn reactor")
+    Reactor::spawn(durable, ServerConfig::new().with_workers(sweep.workers)).expect("spawn reactor")
 }
 
 fn node_universe(sweep: &ServeSweep) -> u64 {
@@ -141,13 +128,8 @@ fn node_universe(sweep: &ServeSweep) -> u64 {
 
 /// Runs one sweep point: `connections` client threads, each issuing
 /// `ops_per_conn` commands in bursts of `depth`, against a fresh reactor.
-pub fn run_serve_point(
-    sweep: &ServeSweep,
-    concurrent: bool,
-    connections: usize,
-    depth: usize,
-) -> ServePoint {
-    let reactor = spawn_loaded_reactor(sweep, concurrent);
+pub fn run_serve_point(sweep: &ServeSweep, connections: usize, depth: usize) -> ServePoint {
+    let reactor = spawn_loaded_reactor(sweep);
     let addr = reactor.addr();
     let nodes = node_universe(sweep);
     let bursts = (sweep.ops_per_conn / depth).max(1);
@@ -215,7 +197,6 @@ pub fn run_serve_point(
     };
     let ops = connections * bursts * depth;
     ServePoint {
-        concurrent,
         connections,
         depth,
         ops,
@@ -225,16 +206,14 @@ pub fn run_serve_point(
     }
 }
 
-/// The full connections × depth sweep in both dispatch modes. Each point
-/// gets a fresh reactor, a fresh preloaded graph and a fresh simulated disk,
-/// so no point warms up another.
+/// The full connections × depth sweep. Each point gets a fresh reactor, a
+/// fresh preloaded graph and a fresh simulated disk, so no point warms up
+/// another.
 pub fn run_serve_sweep(sweep: &ServeSweep) -> Vec<ServePoint> {
     let mut points = Vec::new();
-    for &concurrent in &[true, false] {
-        for &connections in &sweep.connections {
-            for &depth in &sweep.depths {
-                points.push(run_serve_point(sweep, concurrent, connections, depth));
-            }
+    for &connections in &sweep.connections {
+        for &depth in &sweep.depths {
+            points.push(run_serve_point(sweep, connections, depth));
         }
     }
     points
@@ -254,13 +233,9 @@ mod tests {
             write_pct: 25,
             workers: 2,
         };
-        let point = run_serve_point(&sweep, true, 2, 8);
+        let point = run_serve_point(&sweep, 2, 8);
         assert_eq!(point.ops, 2 * 8 * 8);
         assert!(point.kops > 0.0);
         assert!(point.p99_us >= point.p50_us);
-
-        let oracle = run_serve_point(&sweep, false, 2, 8);
-        assert_eq!(oracle.ops, point.ops);
-        assert!(oracle.kops > 0.0);
     }
 }

@@ -1,14 +1,10 @@
 //! Timing drivers for the basic-task experiments: batch insertion, batch
 //! query, and batch deletion, reported as Million operations per second
-//! (Mops), plus memory-usage sampling for Figure 9, the scalar-reference
-//! successor scan (PR-5 scan-path guard baseline), the expand/contract
-//! churn driver behind the `resize_churn` measurements, and the PR-7
-//! read-under-ingest driver (lock-free readers racing a churning writer).
+//! (Mops), plus memory-usage sampling for Figure 9 and the expand/contract
+//! churn driver behind the `resize_churn` measurements.
 
-use cuckoograph::{CuckooGraph, ShardedCuckooGraph};
 use graph_api::{DynamicGraph, NodeId};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Throughput in million operations per second — the unit of Figures 6–8.
 pub type Mops = f64;
@@ -81,60 +77,6 @@ pub fn run_successor_scans(
     )
 }
 
-/// The allocating counterpart of [`run_successor_scans`]: collects each
-/// successor set into a fresh `Vec` before consuming it — the pre-refactor
-/// hot path, kept as the comparison baseline the visitor must beat.
-pub fn run_successor_scans_vec(
-    graph: &dyn DynamicGraph,
-    sources: &[NodeId],
-    rounds: usize,
-) -> (Mops, u64) {
-    let start = Instant::now();
-    let mut visited = 0u64;
-    let mut sum = 0u64;
-    for _ in 0..rounds.max(1) {
-        for &u in sources {
-            for v in graph.successors(u) {
-                visited += 1;
-                sum = sum.wrapping_add(v);
-            }
-        }
-    }
-    std::hint::black_box(sum);
-    (
-        to_mops(visited as usize, start.elapsed().as_secs_f64()),
-        visited,
-    )
-}
-
-/// The scalar-reference counterpart of [`run_successor_scans`] for
-/// CuckooGraph: identical node resolution and closure work, but the neighbour
-/// tables are walked slot by slot (`for_each_successor_scalar`) instead of
-/// tag word by tag word — the live pre-PR-5 scan path the SWAR scan is
-/// guarded against in `perf_smoke`.
-pub fn run_successor_scans_scalar(
-    graph: &CuckooGraph,
-    sources: &[NodeId],
-    rounds: usize,
-) -> (Mops, u64) {
-    let start = Instant::now();
-    let mut visited = 0u64;
-    let mut sum = 0u64;
-    for _ in 0..rounds.max(1) {
-        for &u in sources {
-            graph.for_each_successor_scalar(u, &mut |v| {
-                visited += 1;
-                sum = sum.wrapping_add(v);
-            });
-        }
-    }
-    std::hint::black_box(sum);
-    (
-        to_mops(visited as usize, start.elapsed().as_secs_f64()),
-        visited,
-    )
-}
-
 /// Drives `waves` rounds of bulk insert + bulk delete of the whole edge set —
 /// the expand/contract-heavy shape where resize cost dominates: every wave
 /// grows each hot node's S-CHT chain through its transformation thresholds
@@ -154,113 +96,6 @@ pub fn run_churn_waves(
         ops += 2 * edges.len();
     }
     to_mops(ops, start.elapsed().as_secs_f64())
-}
-
-/// One measured point of the PR-7 read-under-ingest driver.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadUnderIngestPoint {
-    /// Reader threads that scanned concurrently with the writer.
-    pub readers: usize,
-    /// Aggregate successor-scan throughput across all readers, in million
-    /// visited edges per second of wall time.
-    pub aggregate_scan_mops: Mops,
-    /// Full passes over `sources` completed across all readers.
-    pub passes: u64,
-    /// Total edges visited across all readers.
-    pub visited: u64,
-    /// Churn waves (ingest + remove of the whole churn batch) the writer
-    /// completed while the readers ran.
-    pub churn_waves: u64,
-}
-
-/// Runs `readers` scan threads against `graph` through [`read_view`] while a
-/// writer thread drives ingest/remove churn waves over `churn` — the PR-7
-/// mixed workload: lock-free seqlock-validated reads racing batched mutation
-/// windows on the same shards.
-///
-/// `sources` must be disjoint from the churn batch's sources and never
-/// mutated during the run, so every full pass visits exactly
-/// `expected_visits_per_pass` edges; each pass asserts that, making the
-/// measurement also a correctness check (a torn or dropped scan fails loudly
-/// instead of inflating the number). Every reader completes at least one pass
-/// and the writer at least one wave regardless of `read_for`, so the
-/// throughput and the epoch counters are never trivially zero.
-///
-/// [`read_view`]: ShardedCuckooGraph::read_view
-pub fn run_read_under_ingest(
-    graph: &ShardedCuckooGraph,
-    sources: &[NodeId],
-    expected_visits_per_pass: u64,
-    churn: &[(NodeId, NodeId)],
-    readers: usize,
-    read_for: Duration,
-) -> ReadUnderIngestPoint {
-    let readers = readers.max(1);
-    let readers_done = AtomicBool::new(false);
-    let mut visited = 0u64;
-    let mut passes = 0u64;
-    let mut churn_waves = 0u64;
-    let start = Instant::now();
-    let elapsed = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            let mut waves = 0u64;
-            let mut first_wave = true;
-            while first_wave || !readers_done.load(Ordering::SeqCst) {
-                first_wave = false;
-                let created = graph.ingest_batch(churn);
-                let removed = graph.remove_batch(churn);
-                std::hint::black_box((created, removed));
-                waves += 1;
-            }
-            waves
-        });
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let deadline = Instant::now() + read_for;
-                    let view = graph.read_view();
-                    let mut visited = 0u64;
-                    let mut passes = 0u64;
-                    let mut sum = 0u64;
-                    let mut first_pass = true;
-                    while first_pass || Instant::now() < deadline {
-                        first_pass = false;
-                        let before = visited;
-                        for &u in sources {
-                            view.for_each_successor(u, &mut |v| {
-                                visited += 1;
-                                sum = sum.wrapping_add(v);
-                            });
-                        }
-                        assert_eq!(
-                            visited - before,
-                            expected_visits_per_pass,
-                            "a read-under-ingest pass saw a torn stable edge set"
-                        );
-                        passes += 1;
-                    }
-                    std::hint::black_box(sum);
-                    (visited, passes)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (v, p) = handle.join().expect("reader thread panicked");
-            visited += v;
-            passes += p;
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        readers_done.store(true, Ordering::SeqCst);
-        churn_waves = writer.join().expect("writer thread panicked");
-        elapsed
-    });
-    ReadUnderIngestPoint {
-        readers,
-        aggregate_scan_mops: to_mops(visited as usize, elapsed),
-        passes,
-        visited,
-        churn_waves,
-    }
 }
 
 /// Inserts the deduplicated `edges` one by one and samples the memory usage at
@@ -321,9 +156,6 @@ mod tests {
         let (mops, visited) = run_successor_scans(&g, &sources, 2);
         assert!(mops > 0.0);
         assert_eq!(visited as usize, 2 * inserted);
-        let (vec_mops, vec_visited) = run_successor_scans_vec(&g, &sources, 2);
-        assert!(vec_mops > 0.0);
-        assert_eq!(visited, vec_visited);
     }
 
     #[test]
@@ -337,67 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn scalar_reference_scan_visits_the_same_edges() {
-        let workload = edges(3_000);
-        let mut g = CuckooGraph::new();
-        let inserted = g.insert_edges(&workload);
-        let mut sources = Vec::new();
-        g.for_each_node(&mut |u| sources.push(u));
-        let (swar_mops, swar_visited) = run_successor_scans(&g, &sources, 2);
-        let (scalar_mops, scalar_visited) = run_successor_scans_scalar(&g, &sources, 2);
-        assert!(swar_mops > 0.0 && scalar_mops > 0.0);
-        assert_eq!(swar_visited, scalar_visited);
-        assert_eq!(swar_visited as usize, 2 * inserted);
-    }
-
-    #[test]
     fn churn_waves_leave_the_graph_empty() {
         let workload = edges(1_500);
         let mut g = AdjacencyListGraph::new();
         let mops = run_churn_waves(&mut g, &workload, 3);
         assert!(mops > 0.0);
         assert_eq!(g.edge_count(), 0, "churn waves must drain the graph");
-        let mut cuckoo = CuckooGraph::new();
+        let mut cuckoo = cuckoograph::CuckooGraph::new();
         assert!(run_churn_waves(&mut cuckoo, &workload, 2) > 0.0);
         assert_eq!(cuckoo.edge_count(), 0);
         assert!(
             cuckoo.stats().contractions > 0,
             "churn never exercised the contraction path"
         );
-    }
-
-    #[test]
-    fn read_under_ingest_scans_while_the_writer_churns() {
-        let stable: Vec<(NodeId, NodeId)> = (0..2_000u64).map(|i| (i % 23, i)).collect();
-        let churn: Vec<(NodeId, NodeId)> = (0..1_200u64).map(|i| ((1 << 40) + i % 11, i)).collect();
-        let g = ShardedCuckooGraph::new(2);
-        let expected = g.ingest_batch(&stable) as u64;
-        let mut sources: Vec<NodeId> = (0..23u64).collect();
-        sources.sort_unstable();
-
-        let point =
-            run_read_under_ingest(&g, &sources, expected, &churn, 2, Duration::from_millis(30));
-        assert_eq!(point.readers, 2);
-        assert!(point.aggregate_scan_mops > 0.0);
-        assert!(
-            point.passes >= 2,
-            "each reader must finish at least one pass"
-        );
-        assert_eq!(point.visited, point.passes * expected);
-        assert!(point.churn_waves >= 1, "the writer must complete a wave");
-
-        let counters = g.read_counters();
-        assert!(
-            counters.epoch_advances > 0,
-            "churn opened no mutation window"
-        );
-        assert!(counters.read_pins > 0, "readers never pinned");
-        // Churn sources are disjoint from the stable band and every wave
-        // removes what it ingested, so only the stable edges survive.
-        assert_eq!(g.edge_count(), expected as usize);
-        for &(u, v) in stable.iter().step_by(191) {
-            assert!(g.has_edge(u, v));
-        }
     }
 
     #[test]

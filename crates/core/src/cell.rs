@@ -96,9 +96,9 @@ enum Part2<P> {
         /// The S-CHT chain holding the neighbour payloads.
         chain: Box<TableChain<P>>,
         /// The cell's scan segment in the engine's
-        /// [`ScanArena`], or [`NO_SEG`] when segments are disabled. Kept in
-        /// lockstep with chain membership by the mutation hooks below; ids
-        /// travel with the cell through L-CHT kicks and resizes.
+        /// [`ScanArena`]. Kept in lockstep with chain membership by the
+        /// mutation hooks below; ids travel with the cell through L-CHT
+        /// kicks and resizes.
         seg: u32,
     },
 }
@@ -312,18 +312,6 @@ impl<P: Payload> Cell<P> {
         self.remove(KeyHash::new(v), ctx, arena, rng, placements, scratch, scan)
     }
 
-    /// Pre-change reference probe of Part 2 (per-table re-hash, full payload
-    /// compares, no tags) — the oracle/baseline counterpart of
-    /// [`Cell::contains`].
-    pub fn contains_unmemoized(&self, v: NodeId, arena: &SlotArena<P>) -> bool {
-        match &self.part2 {
-            Part2::Small { block, len } => Self::live_slots(*block, *len, arena)
-                .iter()
-                .any(|p| p.key() == v),
-            Part2::Chain { chain, .. } => chain.contains_unmemoized(v),
-        }
-    }
-
     /// Prefetches the candidate tag lines a probe for `kh` would read. Inline
     /// small slots need no prefetch (their block is one contiguous line the
     /// probe reads immediately).
@@ -348,20 +336,6 @@ impl<P: Payload> Cell<P> {
         }
     }
 
-    /// Pre-SWAR iteration over the neighbour payloads — the scalar oracle and
-    /// scan-guard baseline counterpart of [`Cell::for_each`]. Identical on
-    /// inline cells (they have no tag arrays to scan).
-    pub fn for_each_scalar(&self, arena: &SlotArena<P>, mut f: impl FnMut(&P)) {
-        match &self.part2 {
-            Part2::Small { block, len } => {
-                for p in Self::live_slots(*block, *len, arena) {
-                    f(p);
-                }
-            }
-            Part2::Chain { chain, .. } => chain.for_each_scalar(f),
-        }
-    }
-
     /// The neighbour ids stored in this cell.
     pub fn neighbors(&self, arena: &SlotArena<P>) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.degree());
@@ -370,7 +344,7 @@ impl<P: Payload> Cell<P> {
     }
 
     /// The cell's scan-segment id: [`NO_SEG`] while inline (low-degree scans
-    /// read the dense arena block directly) or when segments are disabled.
+    /// read the dense arena block directly).
     #[inline]
     pub(crate) fn seg_id(&self) -> u32 {
         match &self.part2 {
@@ -384,12 +358,10 @@ impl<P: Payload> Cell<P> {
     /// per-item Bob pass covers at most the inline capacity plus one.
     fn build_segment(chain: &TableChain<P>, scan: &mut ScanArena) -> u32 {
         let seg = scan.create(chain.count());
-        if seg != NO_SEG {
-            chain.for_each(|p| {
-                let kh = p.key_hash();
-                scan.append(seg, kh.key());
-            });
-        }
+        chain.for_each(|p| {
+            let kh = p.key_hash();
+            scan.append(seg, kh.key());
+        });
         seg
     }
 
@@ -729,7 +701,7 @@ mod tests {
     }
 
     fn scratch() -> RebuildScratch<NodeId> {
-        RebuildScratch::persistent()
+        RebuildScratch::new()
     }
 
     fn arena() -> SlotArena<NodeId> {
@@ -737,7 +709,7 @@ mod tests {
     }
 
     fn scan() -> ScanArena {
-        ScanArena::new(true)
+        ScanArena::new()
     }
 
     #[test]
@@ -963,7 +935,7 @@ mod tests {
         let mut cell: Cell<WeightedSlot> = Cell::new(9);
         let mut rng = KickRng::new(6);
         let mut p = 0;
-        let mut s: RebuildScratch<WeightedSlot> = RebuildScratch::persistent();
+        let mut s: RebuildScratch<WeightedSlot> = RebuildScratch::new();
         let mut sc = scan();
         cell.insert(
             WeightedSlot { v: 5, w: 1 },
@@ -1038,34 +1010,6 @@ mod tests {
         assert_eq!(cell.degree(), 3);
     }
 
-    #[test]
-    fn for_each_and_scalar_agree_inline_and_chained() {
-        let ctx = ctx();
-        let mut arena = arena();
-        let mut cell: Cell<NodeId> = Cell::new(2);
-        let mut rng = KickRng::new(9);
-        let mut p = 0;
-        let mut s = scratch();
-        let mut sc = scan();
-        for count in [4usize, 40] {
-            let mut cell2 = cell.clone();
-            for v in cell2.degree() as u64..count as u64 {
-                insert_with_fallback(
-                    &mut cell2, v, &ctx, &mut arena, &mut rng, &mut p, &mut s, &mut sc,
-                );
-            }
-            let mut swar = Vec::new();
-            cell2.for_each(&arena, |&v| swar.push(v));
-            let mut scalar = Vec::new();
-            cell2.for_each_scalar(&arena, |&v| scalar.push(v));
-            swar.sort_unstable();
-            scalar.sort_unstable();
-            assert_eq!(swar, scalar, "degree {count}");
-            assert_eq!(swar.len(), count);
-            cell = cell2;
-        }
-    }
-
     /// The scan segment tracks chain membership exactly through the whole
     /// lifecycle: transformation builds it, inserts append, removes
     /// tombstone (compacting past the 1/4-waste threshold), and the collapse
@@ -1125,30 +1069,6 @@ mod tests {
             sc.compactions() > 0,
             "sustained deletions never crossed the compaction threshold"
         );
-    }
-
-    /// A disabled scan arena keeps every hook a no-op: the cell works
-    /// identically and never allocates a segment.
-    #[test]
-    fn disabled_scan_arena_leaves_cells_segmentless() {
-        let ctx = ctx();
-        let mut arena = arena();
-        let mut cell: Cell<NodeId> = Cell::new(4);
-        let mut rng = KickRng::new(12);
-        let mut p = 0;
-        let mut s = scratch();
-        let mut sc = ScanArena::new(false);
-        for v in 0..30u64 {
-            insert_with_fallback(
-                &mut cell, v, &ctx, &mut arena, &mut rng, &mut p, &mut s, &mut sc,
-            );
-        }
-        assert!(cell.is_transformed());
-        assert_eq!(cell.seg_id(), NO_SEG);
-        assert_eq!(sc.memory_bytes(), 0);
-        let mut n = cell.neighbors(&arena);
-        n.sort_unstable();
-        assert_eq!(n, (0..30u64).collect::<Vec<_>>());
     }
 
     /// Collapse round-trips through the arena: chain → block → chain → block,

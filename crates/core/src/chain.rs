@@ -99,7 +99,7 @@ impl<T: Payload> TableChain<T> {
     /// allocating its buffers fresh (tests and cold paths; the engine paths
     /// use [`TableChain::new_in`]).
     pub fn new(params: ChainParams, seed: u64) -> Self {
-        Self::new_in(params, seed, &mut TablePool::disabled())
+        Self::new_in(params, seed, &mut TablePool::new())
     }
 
     /// Creates a chain whose first table's buffers come from `pool` —
@@ -236,7 +236,7 @@ impl<T: Payload> TableChain<T> {
     }
 
     /// Pre-change reference probe (full re-hash per table and array, payload
-    /// key compares, no tags) — the oracle/baseline counterpart of
+    /// key compares, no tags) — the property-test reference for
     /// [`TableChain::contains`].
     pub fn contains_unmemoized(&self, key: graph_api::NodeId) -> bool {
         self.tables.iter().any(|t| t.contains_unmemoized(key))
@@ -272,8 +272,8 @@ impl<T: Payload> TableChain<T> {
         }
     }
 
-    /// Pre-SWAR iteration over every stored item — the scalar oracle and scan
-    /// guard baseline, mirroring [`TableChain::for_each`].
+    /// Pre-SWAR iteration over every stored item — the scalar reference the
+    /// property tests compare [`TableChain::for_each`] against.
     pub fn for_each_scalar(&self, mut f: impl FnMut(&T)) {
         for t in &self.tables {
             t.for_each_scalar(&mut f);
@@ -340,7 +340,7 @@ impl<T: Payload> TableChain<T> {
     ///
     /// A merge drains every table into `scratch` (tag-word scans), caches the
     /// displaced items' hashes in one pass, and re-places from the scratch —
-    /// no allocation when the scratch is persistent and warm.
+    /// no allocation once the scratch is warm.
     pub fn expand(
         &mut self,
         rng: &mut KickRng,
@@ -658,7 +658,7 @@ mod tests {
     }
 
     fn scratch() -> RebuildScratch<NodeId> {
-        RebuildScratch::persistent()
+        RebuildScratch::new()
     }
 
     #[test]
@@ -848,7 +848,7 @@ mod tests {
         let tables = c.table_count() as u64;
         let retired_before = s.pool_stats().retired;
         let mut items = Vec::new();
-        let mut pool = TablePool::enabled();
+        let mut pool = TablePool::new();
         c.dismantle(&mut items, &mut pool);
         items.sort_unstable();
         assert_eq!(items, (0..500u64).collect::<Vec<_>>());
@@ -949,7 +949,7 @@ mod tests {
         assert_eq!(from_iter, (0..100u64).sum());
     }
 
-    /// The persistent scratch must end every rebuild empty and keep its
+    /// The scratch must end every rebuild empty and keep its
     /// buffer capacity across events — the allocation-free steady state.
     #[test]
     fn rebuild_scratch_is_reused_across_resizes() {
@@ -974,7 +974,7 @@ mod tests {
         assert!(s.is_empty());
         assert!(
             s.retained_capacity() >= warm.min(1),
-            "persistent scratch dropped its buffers"
+            "scratch dropped its buffers"
         );
         c.assert_cached_consistent();
     }
@@ -985,7 +985,7 @@ mod tests {
         let mut c: TableChain<WeightedSlot> = TableChain::new(params(), 0x2222);
         let mut rng = KickRng::new(10);
         let mut p = 0;
-        let mut s: RebuildScratch<WeightedSlot> = RebuildScratch::persistent();
+        let mut s: RebuildScratch<WeightedSlot> = RebuildScratch::new();
         for v in 0..50u64 {
             c.insert(WeightedSlot { v, w: 1 }, kh(v), &mut rng, &mut p, &mut s);
         }

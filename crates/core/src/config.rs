@@ -37,38 +37,6 @@ pub struct CuckooGraphConfig {
     /// insertion failure forces an immediate expansion instead — the ablation
     /// baseline of Figure 5.
     pub use_denylist: bool,
-    /// Routes every TRANSFORMATION (expand/contract/merge) through the
-    /// engine's persistent [`crate::scratch::RebuildScratch`] buffers. When
-    /// disabled, each resize event allocates and releases fresh buffers — the
-    /// pre-PR-5 cost shape, kept as the live reference the `perf_smoke`
-    /// resize guard and the `resize_churn` criterion group measure against.
-    pub resize_scratch: bool,
-    /// Recycles the backing buffers of tables dropped by TRANSFORMATION
-    /// events through a shard-local [`crate::pool::TablePool`]. When disabled,
-    /// every expand/contract/merge allocates fresh tables and drops the old
-    /// ones — the pre-PR-6 cost shape, kept as the live reference the
-    /// `perf_smoke` pool guard and the property tests compare against.
-    pub table_pool: bool,
-    /// Routes the sharded wrapper's `&self` query and ingest surface through
-    /// the seqlock/epoch read coordinator ([`crate::epoch`]), so queries
-    /// proceed concurrently with a shard's ingesting writer. When disabled,
-    /// [`crate::Sharded`] falls back to the exclusive path — every query and
-    /// write section takes the shard's mutex, so queries wait out a whole
-    /// batch — which is the pre-PR-7 behaviour, kept as the live oracle the
-    /// `concurrent_read_model` property tests and the `perf_smoke`
-    /// read-under-ingest guard compare against. Serial (unsharded) engines
-    /// ignore the flag.
-    pub concurrent_reads: bool,
-    /// Maintains a contiguous **scan segment** (dense, append-ordered
-    /// successor ids carved from a [`crate::segment::ScanArena`]) alongside
-    /// the S-CHT chain of every transformed cell, and routes
-    /// `for_each_successor` through it — one cache-friendly run per cell
-    /// instead of a scattered table walk. Point ops keep the tag-word probe
-    /// path either way. When disabled, the scan falls back to the table-walk
-    /// iterator — the pre-PR-8 behaviour, kept as the live oracle the
-    /// `segment_scan_model` property tests and the `perf_smoke`
-    /// `scan_segments` guard compare against.
-    pub scan_segments: bool,
     /// Seed for hash-function seeds and kick-victim selection. Fixed default
     /// so runs are reproducible; randomise it for adversarial workloads.
     pub seed: u64,
@@ -86,10 +54,6 @@ impl Default for CuckooGraphConfig {
             lcht_base_len: 16,
             denylist_capacity: 512,
             use_denylist: true,
-            resize_scratch: true,
-            table_pool: true,
-            concurrent_reads: true,
-            scan_segments: true,
             seed: 0x5eed_cafe_f00d_0001,
         }
     }
@@ -176,37 +140,6 @@ impl CuckooGraphConfig {
         self
     }
 
-    /// Builder-style setter for the resize-scratch switch: `false` selects the
-    /// alloc-per-event reference rebuild path (perf-guard baseline).
-    pub fn with_resize_scratch(mut self, enabled: bool) -> Self {
-        self.resize_scratch = enabled;
-        self
-    }
-
-    /// Builder-style setter for the table-pool switch: `false` selects the
-    /// alloc-and-drop reference transformation path (perf-guard baseline).
-    pub fn with_table_pool(mut self, enabled: bool) -> Self {
-        self.table_pool = enabled;
-        self
-    }
-
-    /// Builder-style setter for the concurrent-read switch: `false` selects
-    /// the exclusive sharded read path (queries wait for the writer's batch —
-    /// the pre-change behaviour, kept as the live oracle).
-    pub fn with_concurrent_reads(mut self, enabled: bool) -> Self {
-        self.concurrent_reads = enabled;
-        self
-    }
-
-    /// Builder-style setter for the scan-segment switch: `false` selects the
-    /// table-walk successor iterator (the pre-change behaviour, kept as the
-    /// live oracle the segment property tests and perf guard compare
-    /// against).
-    pub fn with_scan_segments(mut self, enabled: bool) -> Self {
-        self.scan_segments = enabled;
-        self
-    }
-
     /// Builder-style setter for the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -238,10 +171,6 @@ mod tests {
         assert!((c.expand_threshold - 0.9).abs() < 1e-12);
         assert_eq!(c.max_kicks, 250);
         assert!(c.use_denylist);
-        assert!(c.resize_scratch, "persistent scratch is the default");
-        assert!(c.table_pool, "table pooling is the default");
-        assert!(c.concurrent_reads, "concurrent reads are the default");
-        assert!(c.scan_segments, "scan segments are the default");
         assert!(c.validate().is_ok());
         // Λ ≤ 2G/3 as assumed by the memory analysis.
         assert!(c.contract_threshold <= 2.0 * c.expand_threshold / 3.0);
@@ -296,20 +225,12 @@ mod tests {
             .with_contract_threshold(0.4)
             .with_max_kicks(50)
             .with_denylist(false)
-            .with_resize_scratch(false)
-            .with_table_pool(false)
-            .with_concurrent_reads(false)
-            .with_scan_segments(false)
             .with_seed(7)
             .with_scht_base_len(4)
             .with_lcht_base_len(8);
         assert_eq!(c.cells_per_bucket, 4);
         assert_eq!(c.r, 2);
         assert!(!c.use_denylist);
-        assert!(!c.resize_scratch);
-        assert!(!c.table_pool);
-        assert!(!c.concurrent_reads);
-        assert!(!c.scan_segments);
         assert_eq!(c.seed, 7);
         assert!(c.validate().is_ok());
     }

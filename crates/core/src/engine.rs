@@ -62,8 +62,7 @@ pub struct Engine<P> {
     /// Engine-level arena of contiguous scan segments mirroring every
     /// transformed cell's chain membership (see [`crate::segment`]): the
     /// successor-scan fast path walks one dense run per cell instead of the
-    /// chain's scattered buckets. Disabled by `with_scan_segments(false)`,
-    /// which keeps the table-walk iterator live as the oracle.
+    /// chain's scattered buckets.
     scan: ScanArena,
 }
 
@@ -218,8 +217,6 @@ impl<P: Payload> Engine<P> {
                 config.seed,
                 config.denylist_capacity,
                 config.use_denylist,
-                config.resize_scratch,
-                config.table_pool,
             ),
             s_dl: SmallDenylist::new(if config.use_denylist {
                 config.denylist_capacity
@@ -228,15 +225,10 @@ impl<P: Payload> Engine<P> {
             }),
             rng: KickRng::new(config.seed ^ 0x4b1c_4b1c_4b1c_4b1c),
             cell_ctx,
-            scratch: if config.resize_scratch {
-                RebuildScratch::persistent()
-            } else {
-                RebuildScratch::alloc_per_event()
-            }
-            .with_table_pool(config.table_pool),
+            scratch: RebuildScratch::new(),
             dl_buf: Vec::new(),
             arena: SlotArena::new(small_slots),
-            scan: ScanArena::new(config.scan_segments),
+            scan: ScanArena::new(),
             config,
             edges: 0,
             scht: SchtCounters::default(),
@@ -304,19 +296,6 @@ impl<P: Payload> Engine<P> {
     /// True if edge `⟨u, v⟩` is stored.
     pub fn contains(&self, u: NodeId, v: NodeId) -> bool {
         self.get(u, v).is_some()
-    }
-
-    /// Pre-change reference query (per-table re-hash, full payload compares,
-    /// no tags, probe-per-layer) — the oracle/baseline counterpart of
-    /// [`Engine::contains`], kept for the property tests and the `perf_smoke`
-    /// probe-path guard.
-    pub fn contains_unmemoized(&self, u: NodeId, v: NodeId) -> bool {
-        if let Some(cell) = self.nodes.get_unmemoized(u) {
-            if cell.contains_unmemoized(v, &self.arena) {
-                return true;
-            }
-        }
-        self.s_dl.get(u, v).is_some()
     }
 
     /// Inserts a payload for an edge that is **not** currently stored
@@ -643,25 +622,12 @@ impl<P: Payload> Engine<P> {
         self.s_dl.for_each_of(u, f);
     }
 
-    /// Pre-SWAR counterpart of [`Engine::for_each_payload`]: identical node
-    /// resolution, but the neighbour tables are walked slot by slot (the
-    /// pre-change scan shape). Oracle for the property tests and the live
-    /// baseline of the `perf_smoke` scan-path guard.
-    pub fn for_each_payload_scalar(&self, u: NodeId, mut f: impl FnMut(&P)) {
-        if let Some(cell) = self.nodes.get(KeyHash::new(u)) {
-            cell.for_each_scalar(&self.arena, &mut f);
-        }
-        self.s_dl.for_each_of(u, f);
-    }
-
     /// Calls `f` for every successor id of `u` — the successor-scan fast
-    /// path. A transformed cell with a scan segment walks one contiguous,
+    /// path. A transformed cell walks its scan segment: one contiguous,
     /// append-ordered run (a dense slice when tombstone-free, the SWAR
     /// occupancy kernel over the tag bytes otherwise) instead of the chain's
-    /// scattered buckets; inline cells read their dense arena block, and
-    /// segment-less transformed cells (`with_scan_segments(false)`) fall back
-    /// to the table walk — the live oracle. S-DL entries follow, as on every
-    /// query path.
+    /// scattered buckets; inline cells read their dense arena block. S-DL
+    /// entries follow, as on every query path.
     ///
     /// The segment stores successor ids, not payloads: variants that scan
     /// payload contents (weights, edge lists) keep using
@@ -1086,41 +1052,32 @@ mod tests {
         assert_eq!(seen, vec![3, 9, 12, 500]);
     }
 
-    /// The segment-backed successor scan and the table-walk oracle agree
-    /// exactly through transformation, growth, deletion (tombstones +
-    /// compaction), and the collapse back to inline slots.
+    /// The segment-backed successor scan agrees exactly with a set model
+    /// and with the table walk of the same engine through transformation,
+    /// growth, deletion (tombstones + compaction).
     #[test]
     fn segment_scan_matches_table_walk_under_churn() {
-        let mut on = engine();
-        let mut off: Engine<NodeId> =
-            Engine::new(CuckooGraphConfig::default().with_scan_segments(false), 6);
+        let mut e = engine();
+        let mut model = std::collections::BTreeSet::new();
         for v in 0..1_500u64 {
-            on.insert_new(2, v);
-            off.insert_new(2, v);
+            e.insert_new(2, v);
+            model.insert(v);
         }
         for v in (0..1_500u64).step_by(3) {
-            assert_eq!(on.remove(2, v), Some(v));
-            assert_eq!(off.remove(2, v), Some(v));
+            assert_eq!(e.remove(2, v), Some(v));
+            model.remove(&v);
         }
-        let mut a = on.successors(2);
-        let mut b = off.successors(2);
+        let mut a = e.successors(2);
         a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "segment scan diverged from the table-walk oracle");
-        // And against the payload walk of the same engine.
+        let want: Vec<NodeId> = model.into_iter().collect();
+        assert_eq!(a, want, "segment scan diverged from the set model");
         let mut walk = Vec::new();
-        on.for_each_payload(2, |p| walk.push(*p));
+        e.for_each_payload(2, |p| walk.push(*p));
         walk.sort_unstable();
-        assert_eq!(a, walk);
-        let s = on.stats();
+        assert_eq!(walk, want, "table walk diverged from the set model");
+        let s = e.stats();
         assert!(s.segment_tombstones > 0, "deletions never tombstoned");
         assert!(s.segment_bytes > 0);
-        let off_stats = off.stats();
-        assert_eq!(
-            off_stats.segment_bytes, 0,
-            "disabled arena must own nothing"
-        );
-        assert_eq!(off_stats.segment_tombstones, 0);
     }
 
     #[test]

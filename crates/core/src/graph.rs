@@ -65,25 +65,6 @@ impl CuckooGraph {
         out
     }
 
-    /// Pre-change reference query: re-hashes the key once per table and
-    /// bucket array and compares full payload keys, ignoring the tag bytes —
-    /// the probe path [`DynamicGraph::has_edge`] had before PR 4. Kept as the
-    /// live baseline the `perf_smoke` probe-path guard and the `point_query`
-    /// criterion group measure the tagged path against.
-    pub fn has_edge_unmemoized(&self, u: NodeId, v: NodeId) -> bool {
-        self.engine.contains_unmemoized(u, v)
-    }
-
-    /// Pre-SWAR successor scan: same node resolution as
-    /// [`DynamicGraph::for_each_successor`], but the neighbour tables are
-    /// walked slot by slot instead of tag word by tag word — the scan path
-    /// this graph had before PR 5. Kept as the scalar oracle for
-    /// `tests/swar_scan_model.rs` and the live baseline the `perf_smoke`
-    /// scan-path guard measures the SWAR scan against.
-    pub fn for_each_successor_scalar(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
-        self.engine.for_each_payload_scalar(u, |p| f(*p));
-    }
-
     /// Compacts the engine's slot arena, reclaiming blocks freed by node
     /// TRANSFORMATIONS (see [`crate::engine::Engine::compact_arena`]).
     /// Returns the number of freed blocks reclaimed.
@@ -157,8 +138,7 @@ impl DynamicGraph for CuckooGraph {
 
     fn for_each_successor(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
         // Transformed cells walk their contiguous scan segment (one dense,
-        // append-ordered run) instead of the chain's scattered buckets; the
-        // table walk remains live behind `with_scan_segments(false)`.
+        // append-ordered run) instead of the chain's scattered buckets.
         self.engine.for_each_successor_id(u, f);
     }
 

@@ -221,7 +221,7 @@ impl HashPair {
     /// The pre-memoization bucket *function* (one full Bob pass per call),
     /// retained for this module's distribution tests and as documentation of
     /// the original design. Nothing places items with it anymore, so the
-    /// unmemoized oracle probes (`contains_unmemoized` and friends) cannot
+    /// unmemoized reference probes of the tables and chains cannot
     /// use it either — they reproduce the pre-change *cost shape* (a full
     /// Bob pass per bucket array) but must derive buckets with
     /// [`HashPair::bucket_of`] to find items where the live layout put them.

@@ -54,24 +54,14 @@ pub struct NodeTable<P> {
 }
 
 impl<P: Payload> NodeTable<P> {
-    /// Creates an empty node table. `resize_scratch` selects the persistent
-    /// rebuild buffers (production) or the alloc-per-event reference shape
-    /// (see [`RebuildScratch`]); `table_pool` selects whether the L-CHT
-    /// chain's transformations recycle table buffers (see [`crate::pool`]).
+    /// Creates an empty node table.
     pub fn new(
         params: ChainParams,
         seed: u64,
         denylist_capacity: usize,
         use_denylist: bool,
-        resize_scratch: bool,
-        table_pool: bool,
     ) -> Self {
-        let mut scratch = if resize_scratch {
-            RebuildScratch::persistent()
-        } else {
-            RebuildScratch::alloc_per_event()
-        }
-        .with_table_pool(table_pool);
+        let mut scratch = RebuildScratch::new();
         Self {
             chain: TableChain::new_in(params, seed, &mut scratch.pool),
             denylist: LargeDenylist::new(denylist_capacity),
@@ -161,14 +151,6 @@ impl<P: Payload> NodeTable<P> {
             NodePos::Chain(p) => self.chain.item_at_mut(p),
             NodePos::Deny(i) => self.denylist.cell_at_mut(i),
         }
-    }
-
-    /// Pre-change reference lookup (per-table re-hash, full key compares, no
-    /// tags) — the oracle/baseline counterpart of [`NodeTable::get`].
-    pub fn get_unmemoized(&self, u: NodeId) -> Option<&Cell<P>> {
-        self.chain
-            .get_unmemoized(u)
-            .or_else(|| self.denylist.find(|c| c.node() == u))
     }
 
     /// Returns a mutable reference to the cell for `kh.key()`, creating it if
@@ -288,15 +270,6 @@ impl<P: Payload> NodeTable<P> {
         }
     }
 
-    /// Pre-SWAR counterpart of [`NodeTable::for_each`] (scalar slot walk over
-    /// the chain), for the scan oracle and guard baseline.
-    pub fn for_each_scalar(&self, mut f: impl FnMut(&Cell<P>)) {
-        self.chain.for_each_scalar(&mut f);
-        for cell in self.denylist.iter() {
-            f(cell);
-        }
-    }
-
     /// Mutable walk over every stored cell (chain and denylist). Callers must
     /// not change a cell's node; used by the engine's arena compaction to
     /// rewrite every inline cell's block index.
@@ -383,7 +356,7 @@ mod tests {
     }
 
     fn table() -> NodeTable<NodeId> {
-        NodeTable::new(params(), 0x77, 64, true, true, true)
+        NodeTable::new(params(), 0x77, 64, true)
     }
 
     #[test]
@@ -429,7 +402,7 @@ mod tests {
             base_len: 2,
             ..params()
         };
-        let mut t: NodeTable<NodeId> = NodeTable::new(p, 5, 1024, true, true, true);
+        let mut t: NodeTable<NodeId> = NodeTable::new(p, 5, 1024, true);
         let mut rng = KickRng::new(3);
         for u in 0..2_000u64 {
             t.ensure(kh(u), &mut rng);
@@ -447,7 +420,7 @@ mod tests {
             base_len: 2,
             ..params()
         };
-        let mut t: NodeTable<NodeId> = NodeTable::new(p, 5, 0, false, true, true);
+        let mut t: NodeTable<NodeId> = NodeTable::new(p, 5, 0, false);
         let mut rng = KickRng::new(4);
         for u in 0..1_000u64 {
             t.ensure(kh(u), &mut rng);
@@ -473,9 +446,9 @@ mod tests {
             seed: 1,
         };
         let mut placements = 0u64;
-        let mut scratch = RebuildScratch::persistent();
+        let mut scratch = RebuildScratch::new();
         let mut arena = crate::arena::SlotArena::new(ctx.small_slots);
-        let mut scan = crate::segment::ScanArena::new(true);
+        let mut scan = crate::segment::ScanArena::new();
         // Give node 7 some neighbours, then insert many more nodes to force
         // kick-outs and expansions around it.
         {

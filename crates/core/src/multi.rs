@@ -176,12 +176,6 @@ impl MultiEdgeCuckooGraph {
         self.engine.successors(u)
     }
 
-    /// Pre-SWAR successor scan (slot-by-slot table walk) — see
-    /// [`CuckooGraph::for_each_successor_scalar`](crate::CuckooGraph::for_each_successor_scalar).
-    pub fn for_each_successor_scalar(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
-        self.engine.for_each_payload_scalar(u, |slot| f(slot.v));
-    }
-
     /// Compacts the engine's slot arena — see
     /// [`CuckooGraph::compact_arena`](crate::CuckooGraph::compact_arena).
     pub fn compact_arena(&mut self) -> usize {

@@ -21,14 +21,6 @@
 //! at a small number of retained buffer pairs so the recycled capacity cannot
 //! silently dominate the memory the structure reports; what it does retain is
 //! counted honestly via [`TablePool::retained_bytes`].
-//!
-//! The pre-change cost shape stays selectable as the live oracle:
-//! [`crate::CuckooGraphConfig::with_table_pool`]`(false)` builds every engine
-//! scratch with a disabled pool, whose `acquire` always allocates and whose
-//! `retire` always drops — exactly the old allocate-per-table behaviour. The
-//! `perf_smoke` pool guard and the `pool_arena_model` property tests compare
-//! the two paths; they are structurally bit-identical (the pool only changes
-//! where buffers come from, never what they contain).
 
 use crate::payload::Payload;
 
@@ -46,7 +38,7 @@ pub struct PoolStats {
     pub hits: u64,
     /// Table allocations that fell through to the allocator.
     pub misses: u64,
-    /// Tables retired into the pool (or dropped, when disabled/full).
+    /// Tables retired into the pool (or dropped, when it is full).
     pub retired: u64,
     /// Retirements quarantined behind an epoch stamp instead of entering the
     /// free list directly (cumulative; see [`TablePool::begin_deferred`]).
@@ -85,7 +77,6 @@ pub struct TablePool<T> {
     /// Epoch-stamped quarantined retirements (`(stamp, slots, tags)`),
     /// oldest first. Never served by [`TablePool::acquire`].
     quarantine: Vec<(u64, Vec<T>, Vec<u8>)>,
-    enabled: bool,
     /// When true, retirements are stamped with `epoch` and parked in the
     /// quarantine instead of entering the free list.
     defer: bool,
@@ -99,12 +90,11 @@ pub struct TablePool<T> {
 }
 
 impl<T: Payload> TablePool<T> {
-    /// An active pool (the production configuration).
-    pub fn enabled() -> Self {
+    /// An empty pool.
+    pub fn new() -> Self {
         Self {
             entries: Vec::new(),
             quarantine: Vec::new(),
-            enabled: true,
             defer: false,
             epoch: 0,
             hits: 0,
@@ -112,33 +102,6 @@ impl<T: Payload> TablePool<T> {
             retired: 0,
             deferred: 0,
             reclaimed: 0,
-        }
-    }
-
-    /// A disabled pool: every `acquire` allocates, every `retire` drops — the
-    /// pre-pool reference behaviour, selected via
-    /// [`crate::CuckooGraphConfig::with_table_pool`]`(false)`.
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::enabled()
-        }
-    }
-
-    /// True when retired buffers are actually recycled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Sets whether the pool recycles. Turning a pool off releases everything
-    /// it retained, including the quarantine (the pool owns those buffers
-    /// outright — deferral only delays *recycling*, never frees early, so
-    /// dropping them here is always safe).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.entries = Vec::new();
-            self.quarantine = Vec::new();
         }
     }
 
@@ -305,16 +268,13 @@ impl<T: Payload> TablePool<T> {
         self.retire(ids, Vec::new());
     }
 
-    /// Takes ownership of a retiring table's buffers. Disabled or full pools
-    /// drop them (the reference behaviour); otherwise they wait for the next
+    /// Takes ownership of a retiring table's buffers. A full pool drops
+    /// them; otherwise they wait for the next
     /// [`TablePool::acquire`] — or, in deferred mode, sit stamped in the
     /// quarantine until an epoch advance proves no concurrent reader can
     /// still be scanning them.
     pub fn retire(&mut self, slots: Vec<T>, tags: Vec<u8>) {
         self.retired += 1;
-        if !self.enabled {
-            return;
-        }
         if self.defer {
             // The quarantine shares the free list's bound: together they hold
             // at most 2×MAX_POOLED pairs, so deferral cannot turn the pool
@@ -379,7 +339,7 @@ impl<T: Payload> TablePool<T> {
 
 impl<T: Payload> Default for TablePool<T> {
     fn default() -> Self {
-        Self::enabled()
+        Self::new()
     }
 }
 
@@ -397,7 +357,7 @@ mod tests {
 
     #[test]
     fn acquire_miss_then_hit_recycles_capacity() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         let (slots, tags) = pool.acquire(64);
         assert_eq!(slots.len(), 64);
         assert_eq!(tags.len(), 64);
@@ -421,7 +381,7 @@ mod tests {
 
     #[test]
     fn acquire_reuses_drained_buffers_without_reclearing() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         // A drained retiree (all-filler / all-zero, the drain_into contract).
         pool.retire(vec![NodeId::filler(); 16], vec![0; 16]);
         // Shrinking reuse truncates; the survivors are still clean.
@@ -439,7 +399,7 @@ mod tests {
 
     #[test]
     fn raw_acquire_keeps_retiree_contents_but_normalises_length() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         // Raw pools (the scan-segment arena) retire dirty buffers; the raw
         // acquire only guarantees the length and initialised memory.
         pool.retire(vec![7; 16], vec![0xAA; 16]);
@@ -455,7 +415,7 @@ mod tests {
 
     #[test]
     fn ids_only_path_recycles_without_tag_storage() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         let ids = pool.acquire_ids(32);
         assert_eq!(ids.len(), 32);
         assert_eq!(pool.stats().misses, 1);
@@ -471,20 +431,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_never_retains() {
-        let mut pool: TablePool<NodeId> = TablePool::disabled();
-        assert!(!pool.is_enabled());
-        let (slots, tags) = pool.acquire(8);
-        pool.retire(slots, tags);
-        assert!(pool.is_empty());
-        assert_eq!(pool.retained_bytes(), 0);
-        let s = pool.stats();
-        assert_eq!((s.hits, s.misses, s.retired), (0, 1, 1));
-    }
-
-    #[test]
     fn pool_is_capped() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         for _ in 0..2 * MAX_POOLED {
             pool.retire(vec![0; 8], vec![0; 8]);
         }
@@ -493,20 +441,8 @@ mod tests {
     }
 
     #[test]
-    fn disabling_releases_retained_buffers() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
-        pool.retire(vec![0; 8], vec![0; 8]);
-        pool.begin_deferred(3);
-        pool.retire(vec![0; 8], vec![0; 8]);
-        pool.set_enabled(false);
-        assert!(pool.is_empty());
-        assert_eq!(pool.deferred_pending(), 0);
-        assert_eq!(pool.retained_bytes(), 0);
-    }
-
-    #[test]
     fn deferred_retires_are_quarantined_until_the_epoch_clears() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         pool.begin_deferred(5);
         pool.retire(vec![0; 16], vec![0; 16]);
         // Quarantined, counted in memory, but never served to acquire.
@@ -533,7 +469,7 @@ mod tests {
 
     #[test]
     fn end_deferred_restores_direct_retires_and_keeps_survivors_parked() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         pool.begin_deferred(1);
         pool.retire(vec![0; 8], vec![0; 8]); // stamp 1
         pool.begin_deferred(2);
@@ -552,7 +488,7 @@ mod tests {
 
     #[test]
     fn quarantine_is_capped_independently_of_the_free_list() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         pool.begin_deferred(1);
         for _ in 0..2 * MAX_POOLED {
             pool.retire(vec![0; 8], vec![0; 8]);

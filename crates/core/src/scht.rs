@@ -31,8 +31,7 @@
 //! walks the occupancy bitmap `word & 0x8080…`, touching only occupied
 //! payload slots and skipping empty regions in whole-word jumps. The scalar
 //! byte loops survive as `*_scalar` methods — the correctness oracle for the
-//! property tests and the live pre-change baseline the `perf_smoke` scan
-//! guard measures against.
+//! property tests.
 //!
 //! # The pooled flat layout
 //!
@@ -114,7 +113,7 @@ impl<T: Payload> CuckooTable<T> {
     /// derived from `seed`. Allocates fresh buffers; the engine paths use
     /// [`CuckooTable::new_in`] to recycle retired ones.
     pub fn new(len: usize, d: usize, seed: u64) -> Self {
-        Self::new_in(len, d, seed, &mut TablePool::disabled())
+        Self::new_in(len, d, seed, &mut TablePool::new())
     }
 
     /// Creates an empty table whose slot/tag buffers come from `pool` —
@@ -286,9 +285,9 @@ impl<T: Payload> CuckooTable<T> {
     }
 
     /// Pre-change reference probe, kept as the correctness oracle for the
-    /// property tests and the baseline the `perf_smoke` probe guard measures
-    /// against: recomputes the full hash material per bucket array (two Bob
-    /// passes per table, the cost `HashPair::bucket` paid before memoization)
+    /// property tests: recomputes the full hash material per bucket array
+    /// (two Bob passes per table, the cost `HashPair::bucket` paid before
+    /// memoization)
     /// and compares full payload keys, consulting only the occupancy bit of
     /// the tags (the pre-tag layout's `Option` discriminant), never the
     /// fingerprints. The bucket *indices* still come from
@@ -440,7 +439,7 @@ impl<T: Payload> CuckooTable<T> {
 
     /// Pre-SWAR iteration (walks the tag bytes one at a time — the scalar
     /// discriminant walk the `Option` layout used to do), kept as the scalar
-    /// oracle and the live baseline of the `perf_smoke` scan guard.
+    /// oracle for the property tests.
     pub fn for_each_scalar(&self, mut f: impl FnMut(&T)) {
         for (slot, &tag) in self.slots.iter().zip(self.tags.iter()) {
             if tag & 0x80 != 0 {
@@ -691,7 +690,7 @@ mod tests {
 
     #[test]
     fn pooled_rebirth_reuses_buffers_and_stays_exact() {
-        let mut pool: TablePool<NodeId> = TablePool::enabled();
+        let mut pool: TablePool<NodeId> = TablePool::new();
         let mut t = CuckooTable::new_in(8, 4, 0x9999, &mut pool);
         let mut rng = KickRng::new(13);
         let mut p = 0;

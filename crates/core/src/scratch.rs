@@ -15,14 +15,6 @@
 //! the hashing out of the cuckoo placement loop (whose kick-walk has its own
 //! re-hash discipline) and touching each drained item's bytes exactly once
 //! per rebuild.
-//!
-//! The pre-change cost shape survives as a first-class reference:
-//! [`RebuildScratch::alloc_per_event`] builds a scratch that releases its
-//! buffers after every rebuild event, reproducing the one-allocation-per-event
-//! behaviour the persistent scratch replaces.
-//! [`crate::CuckooGraphConfig::with_resize_scratch`]`(false)` routes a whole
-//! engine through it, which is what the `perf_smoke` resize guard and the
-//! `resize_churn` criterion group measure the live path against.
 
 use crate::hash::KeyHash;
 use crate::payload::Payload;
@@ -41,49 +33,22 @@ pub struct RebuildScratch<T> {
     /// Memoized hash material parallel to `items` (filled by
     /// [`RebuildScratch::cache_hashes`], popped in lock-step).
     pub(crate) hashes: Vec<KeyHash>,
-    /// When false, the buffers are dropped after every event — the
-    /// alloc-per-event reference cost shape.
-    persistent: bool,
     /// Recycled table buffers for the chains rebuilt through this scratch
     /// (see [`crate::pool`]). Lives here because the scratch is already
     /// threaded through every resize path, so the pool reaches each
-    /// TRANSFORMATION without new plumbing. The pool outlives rebuild events
-    /// regardless of `persistent` — the two oracles (`with_resize_scratch`,
-    /// `with_table_pool`) stay independent.
+    /// TRANSFORMATION without new plumbing.
     pub(crate) pool: TablePool<T>,
 }
 
 impl<T: Payload> RebuildScratch<T> {
-    /// A persistent scratch: buffers grow to the high-water mark of the
-    /// largest rebuild and are reused forever. The production configuration.
-    pub fn persistent() -> Self {
+    /// An empty scratch: the buffers grow to the high-water mark of the
+    /// largest rebuild and are reused from then on.
+    pub fn new() -> Self {
         Self {
             items: Vec::new(),
             hashes: Vec::new(),
-            persistent: true,
-            pool: TablePool::enabled(),
+            pool: TablePool::new(),
         }
-    }
-
-    /// A reference scratch reproducing the pre-change allocation behaviour:
-    /// every rebuild event allocates fresh buffers and releases them at the
-    /// end. Selected via
-    /// [`crate::CuckooGraphConfig::with_resize_scratch`]`(false)`.
-    pub fn alloc_per_event() -> Self {
-        Self {
-            items: Vec::new(),
-            hashes: Vec::new(),
-            persistent: false,
-            pool: TablePool::enabled(),
-        }
-    }
-
-    /// Builder-style switch for the embedded table pool: `false` selects the
-    /// allocate-per-table reference behaviour
-    /// ([`crate::CuckooGraphConfig::with_table_pool`]`(false)`).
-    pub fn with_table_pool(mut self, enabled: bool) -> Self {
-        self.pool.set_enabled(enabled);
-        self
     }
 
     /// Counter snapshot of the embedded table pool.
@@ -118,8 +83,8 @@ impl<T: Payload> RebuildScratch<T> {
         self.items.is_empty()
     }
 
-    /// Item capacity currently retained — what a persistent scratch carries
-    /// from one rebuild to the next (observable in tests).
+    /// Item capacity currently retained — what the scratch carries from one
+    /// rebuild to the next (observable in tests).
     pub fn retained_capacity(&self) -> usize {
         self.items.capacity()
     }
@@ -139,21 +104,16 @@ impl<T: Payload> RebuildScratch<T> {
         Some((item, kh))
     }
 
-    /// Ends a rebuild event: a persistent scratch keeps its capacity, the
-    /// alloc-per-event reference drops it (matching the old per-event `Vec`).
+    /// Ends a rebuild event; the buffers keep their capacity.
     pub(crate) fn finish_event(&mut self) {
         debug_assert!(self.items.is_empty(), "rebuild left items in the scratch");
         self.hashes.clear();
-        if !self.persistent {
-            self.items = Vec::new();
-            self.hashes = Vec::new();
-        }
     }
 }
 
 impl<T: Payload> Default for RebuildScratch<T> {
     fn default() -> Self {
-        Self::persistent()
+        Self::new()
     }
 }
 
@@ -170,8 +130,8 @@ mod tests {
     use graph_api::NodeId;
 
     #[test]
-    fn persistent_scratch_retains_capacity_across_events() {
-        let mut s: RebuildScratch<NodeId> = RebuildScratch::persistent();
+    fn scratch_retains_capacity_across_events() {
+        let mut s: RebuildScratch<NodeId> = RebuildScratch::new();
         s.items.extend(0..100u64);
         s.cache_hashes();
         while let Some((item, kh)) = s.pop_pair() {
@@ -180,21 +140,6 @@ mod tests {
         s.finish_event();
         assert!(s.is_empty());
         assert!(s.retained_capacity() >= 100, "capacity was released");
-    }
-
-    #[test]
-    fn alloc_per_event_scratch_releases_buffers() {
-        let mut s: RebuildScratch<NodeId> = RebuildScratch::alloc_per_event();
-        s.items.extend(0..100u64);
-        s.cache_hashes();
-        while s.pop_pair().is_some() {}
-        s.finish_event();
-        assert_eq!(
-            s.retained_capacity(),
-            0,
-            "reference scratch must not retain"
-        );
-        assert_eq!(s.len(), 0);
     }
 
     #[test]

@@ -49,19 +49,13 @@
 //! finish scanning a retired segment safely. (Under the current drain
 //! protocol readers never overlap a window at all — the quarantine is the
 //! same belt-and-braces the table pools wear.)
-//!
-//! `CuckooGraphConfig::with_scan_segments(false)` builds a disabled arena:
-//! [`ScanArena::create`] returns [`NO_SEG`], every hook no-ops, and the
-//! engine's scan falls back to the chain walk — the pre-PR-8 iterator stays
-//! live as the oracle the property tests and the `perf_smoke` guard compare
-//! against.
 
 use crate::pool::TablePool;
 use crate::scht::prefetch_read;
 use graph_api::NodeId;
 
-/// "No segment attached": inline cells, and every cell when segments are
-/// disabled. Sibling of [`crate::arena::NO_BLOCK`].
+/// "No segment attached": the id an inline cell reports. Sibling of
+/// [`crate::arena::NO_BLOCK`].
 pub const NO_SEG: u32 = u32::MAX;
 
 /// Minimum capacity of a freshly created segment. Creation happens at
@@ -159,9 +153,8 @@ impl ScanSegment {
 }
 
 /// Arena of per-cell scan segments: `u32` segment ids, LIFO free list,
-/// embedded epoch-aware buffer pool. One per engine, disabled wholesale by
-/// `with_scan_segments(false)`.
-#[derive(Debug, Clone)]
+/// embedded epoch-aware buffer pool. One per engine.
+#[derive(Debug, Clone, Default)]
 pub struct ScanArena {
     segs: Vec<ScanSegment>,
     /// Freed segment ids, reused LIFO so hot churn re-touches warm slots.
@@ -169,7 +162,6 @@ pub struct ScanArena {
     /// Recycles segment buffers across grow/release events; quarantines
     /// retirements behind epoch stamps inside concurrent mutation windows.
     pool: TablePool<NodeId>,
-    enabled: bool,
     /// Cumulative threshold-triggered in-place compactions.
     compactions: u64,
     /// Cumulative tombstones punched.
@@ -177,27 +169,9 @@ pub struct ScanArena {
 }
 
 impl ScanArena {
-    /// An arena in the given mode. A disabled arena never allocates:
-    /// [`ScanArena::create`] returns [`NO_SEG`] and every other operation on
-    /// [`NO_SEG`] is a no-op, so callers need no flag of their own.
-    pub fn new(enabled: bool) -> Self {
-        Self {
-            segs: Vec::new(),
-            free: Vec::new(),
-            pool: if enabled {
-                TablePool::enabled()
-            } else {
-                TablePool::disabled()
-            },
-            enabled,
-            compactions: 0,
-            tombstones: 0,
-        }
-    }
-
-    /// Whether segments are maintained at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
+    /// An empty arena.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Acquires a buffer for `cap` entries with its bitmap region zeroed (the
@@ -211,11 +185,8 @@ impl ScanArena {
     }
 
     /// Creates an empty segment sized for `hint` entries (plus chunk
-    /// rounding), returning its id — or [`NO_SEG`] when disabled.
+    /// rounding), returning its id.
     pub fn create(&mut self, hint: usize) -> u32 {
-        if !self.enabled {
-            return NO_SEG;
-        }
         let cap = hint.max(MIN_CAP);
         let buf = self.acquire_buf(cap);
         let seg = ScanSegment {
@@ -242,11 +213,8 @@ impl ScanArena {
 
     /// Appends a live entry for successor `v`. Grows the buffer by an exact
     /// chunk — copying only live entries, so growth doubles as a compaction —
-    /// when the tail is full. No-op on [`NO_SEG`].
+    /// when the tail is full.
     pub fn append(&mut self, seg: u32, v: NodeId) {
-        if seg == NO_SEG {
-            return;
-        }
         let idx = seg as usize;
         if self.segs[idx].len as usize == self.segs[idx].capacity() {
             self.grow(idx);
@@ -261,11 +229,8 @@ impl ScanArena {
     /// consults the bitmap on match — a dead slot keeps its id, and `v` may
     /// have been re-inserted behind an earlier tombstone of itself),
     /// compacting in place once the dead fraction exceeds 1/4. Returns
-    /// whether an entry was found; no-op `true` on [`NO_SEG`].
+    /// whether an entry was found.
     pub fn tombstone(&mut self, seg: u32, v: NodeId) -> bool {
-        if seg == NO_SEG {
-            return true;
-        }
         let s = &mut self.segs[seg as usize];
         let n = s.len as usize;
         let dense = s.dead == 0;
@@ -293,11 +258,8 @@ impl ScanArena {
 
     /// Returns a freed cell's segment: the buffer retires into the pool
     /// (quarantined when inside a concurrent mutation window) and the id
-    /// re-enters the LIFO free list. No-op on [`NO_SEG`].
+    /// re-enters the LIFO free list.
     pub fn release(&mut self, seg: u32) {
-        if seg == NO_SEG {
-            return;
-        }
         let s = &mut self.segs[seg as usize];
         let mut buf = std::mem::take(&mut s.buf);
         s.len = 0;
@@ -345,11 +307,8 @@ impl ScanArena {
         }
     }
 
-    /// Live entries of `seg` (0 for [`NO_SEG`]).
+    /// Live entries of `seg`.
     pub fn live_len(&self, seg: u32) -> usize {
-        if seg == NO_SEG {
-            return 0;
-        }
         let s = &self.segs[seg as usize];
         (s.len - s.dead) as usize
     }
@@ -472,22 +431,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_arena_is_inert() {
-        let mut a = ScanArena::new(false);
-        assert!(!a.is_enabled());
-        let seg = a.create(16);
-        assert_eq!(seg, NO_SEG);
-        a.append(seg, 7);
-        assert!(a.tombstone(seg, 7));
-        a.release(seg);
-        assert_eq!(a.live_len(seg), 0);
-        assert_eq!(a.memory_bytes(), 0);
-        assert_eq!((a.compactions(), a.tombstones()), (0, 0));
-    }
-
-    #[test]
     fn append_preserves_insertion_order() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(4);
         for v in [9u64, 3, 77, 3_000_000] {
             a.append(seg, v);
@@ -498,7 +443,7 @@ mod tests {
 
     #[test]
     fn growth_is_exact_chunk_and_keeps_entries() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(1); // rounds up to MIN_CAP
         for v in 0..100u64 {
             a.append(seg, v);
@@ -513,7 +458,7 @@ mod tests {
 
     #[test]
     fn tombstones_skip_dead_entries_and_trigger_compaction() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(32);
         for v in 0..20u64 {
             a.append(seg, v);
@@ -546,7 +491,7 @@ mod tests {
     fn tombstone_then_reinsert_of_the_same_id_kills_the_live_copy() {
         // A dead slot keeps its id; a delete after a re-insert of the same
         // successor must tombstone the *live* copy, not re-find the corpse.
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(8);
         a.append(seg, 5);
         a.append(seg, 6);
@@ -562,7 +507,7 @@ mod tests {
     fn sparse_scan_skips_whole_words_across_block_boundaries() {
         // Spread entries across three bitmap words and tombstone a scattering
         // (below the compaction threshold) to exercise the word-folding walk.
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(200);
         for v in 0..150u64 {
             a.append(seg, v);
@@ -578,7 +523,7 @@ mod tests {
 
     #[test]
     fn growth_drops_tombstones() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(8);
         for v in 0..8u64 {
             a.append(seg, v);
@@ -593,7 +538,7 @@ mod tests {
 
     #[test]
     fn release_recycles_ids_lifo_and_buffers_through_the_pool() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let s0 = a.create(8);
         let s1 = a.create(8);
         a.append(s1, 4);
@@ -612,7 +557,7 @@ mod tests {
     fn recycled_buffers_start_with_a_clean_bitmap() {
         // Retirees go back dirty (raw pool) — creation must still hand out a
         // segment whose bitmap carries no stale tombstones.
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(8);
         for v in 0..8u64 {
             a.append(seg, v);
@@ -628,7 +573,7 @@ mod tests {
 
     #[test]
     fn deferred_release_quarantines_buffers_until_the_epoch_clears() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(8);
         a.append(seg, 1);
         a.begin_deferred_retires(5);
@@ -641,7 +586,7 @@ mod tests {
 
     #[test]
     fn memory_is_reported_and_shrinks_on_release_reuse() {
-        let mut a = ScanArena::new(true);
+        let mut a = ScanArena::new();
         let seg = a.create(64);
         let with_seg = a.memory_bytes();
         assert!(with_seg >= total_for(64) * std::mem::size_of::<NodeId>());

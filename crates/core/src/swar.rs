@@ -171,8 +171,7 @@ pub fn find_eq(tags: &[u8], tag: u8) -> Option<usize> {
 // The pre-SWAR byte-at-a-time scans, retained verbatim as the correctness
 // oracle: the property tests drive both paths over random tag patterns
 // (including the `0x80` zero-fingerprint edge case) and demand identical
-// results, and `perf_smoke` measures the SWAR path against these as the live
-// pre-change baseline.
+// results.
 
 /// Scalar counterpart of [`scan_eq`].
 pub fn scan_eq_scalar(tags: &[u8], tag: u8, mut visit: impl FnMut(usize) -> bool) -> bool {

@@ -73,20 +73,6 @@ impl WeightedCuckooGraph {
         sum
     }
 
-    /// Pre-SWAR weighted successor scan (slot-by-slot table walk) — the
-    /// scalar oracle counterpart of
-    /// [`WeightedDynamicGraph::for_each_weighted_successor`].
-    pub fn for_each_weighted_successor_scalar(&self, u: NodeId, f: &mut dyn FnMut(NodeId, u64)) {
-        self.engine
-            .for_each_payload_scalar(u, |slot| f(slot.v, slot.w));
-    }
-
-    /// Pre-SWAR successor scan — see
-    /// [`CuckooGraph::for_each_successor_scalar`](crate::CuckooGraph::for_each_successor_scalar).
-    pub fn for_each_successor_scalar(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
-        self.engine.for_each_payload_scalar(u, |slot| f(slot.v));
-    }
-
     /// Compacts the engine's slot arena — see
     /// [`CuckooGraph::compact_arena`](crate::CuckooGraph::compact_arena).
     pub fn compact_arena(&mut self) -> usize {

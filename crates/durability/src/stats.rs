@@ -1,6 +1,6 @@
 //! Durability instrumentation counters, in the style of the engine's
 //! `StructureStats` block: plain monotone `u64`s, read by tests and the
-//! perf_smoke durability section, never consulted by hot-path logic.
+//! benchmark's layer ledger, never consulted by hot-path logic.
 
 /// Counters over one durability stack (AOF writer + snapshot machinery).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

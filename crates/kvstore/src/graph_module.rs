@@ -324,15 +324,15 @@ mod tests {
         }
         s.execute(&cmd(&["graph.insert", "g", "7", "9"]));
         s.execute(&cmd(&["graph.del", "g", "7", "9"]));
-        assert_eq!(s.aof_len(), 5);
-        s.aof_rewrite();
+        let mut log = Vec::new();
+        s.aof_rewrite(|command| log.push(command));
         // Only one edge remains: one rebuild command.
-        assert_eq!(s.aof_len(), 1);
-        let log = s.aof().to_vec();
+        assert_eq!(log.len(), 1);
 
-        let mut replayed = Server::new();
-        replayed.load_module(Box::new(CuckooGraphModule::new()));
-        replayed.replay_aof(&log);
+        let mut replayed = server_with_module();
+        for command in &log {
+            replayed.execute(command);
+        }
         assert_eq!(
             replayed.execute(&cmd(&["graph.query", "g", "7", "8"])),
             Reply::Integer(3)

@@ -13,11 +13,10 @@
 //!   module-defined value types;
 //! * [`module`] — the module API: command registration plus the persistence
 //!   callbacks;
-//! * [`server`] — command dispatch, RDB-style snapshots and an append-only
-//!   file (AOF) with rewrite;
-//! * [`net`] — per-connection RESP sessions and the TCP accept loop (a
-//!   malformed frame or a mid-command EOF costs one connection, never the
-//!   server);
+//! * [`server`] — command dispatch, RDB-style snapshots and the log-rewrite
+//!   walk of live state;
+//! * [`net`] — per-connection RESP sessions (a malformed frame or a
+//!   mid-command EOF costs one connection, never the server);
 //! * [`reactor`] — the pipelined concurrent serving front end: acceptor +
 //!   worker pool + single durable writer, with graph reads dispatched off the
 //!   write path onto sharded read views;
@@ -42,7 +41,7 @@ pub mod server;
 pub use graph_module::CuckooGraphModule;
 pub use keyspace::{Keyspace, Value};
 pub use module::{Module, ModuleValue, Reply};
-pub use net::{serve, spawn_server, Session, SessionStatus};
+pub use net::{Session, SessionStatus};
 pub use persist::DurableServer;
 pub use reactor::{Reactor, ServerConfig};
 pub use resp::RespValue;

@@ -1,23 +1,20 @@
-//! Per-connection sessions and the TCP front door.
+//! Per-connection RESP sessions.
 //!
 //! The server core ([`crate::Server`]) is a pure command dispatcher; this
-//! module adds the connection handling around it. The robustness contract:
+//! module adds the per-connection byte-stream state the serving front end
+//! ([`crate::reactor`]) decodes through. The robustness contract:
 //!
 //! * a malformed RESP frame (undecodable byte stream) gets a RESP error reply
 //!   and closes **only that connection** — framing is lost, so the session
 //!   cannot safely resynchronise;
 //! * a well-framed but non-command value (e.g. a bare integer) gets an error
 //!   reply and the session stays open — framing is intact;
-//! * EOF mid-command is a clean close, not an error;
-//! * the accept loop never exits because one connection misbehaved.
+//! * EOF mid-command is a clean close, not an error.
 
 use crate::module::Reply;
 use crate::resp::RespValue;
 use crate::server::Server;
 use bytes::BytesMut;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
 
 /// What the session wants done with its connection after consuming input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,83 +94,9 @@ impl Session {
     }
 }
 
-/// A shared, lockable server — what each connection thread holds.
-pub type SharedServer = Arc<Mutex<Server>>;
-
-/// Wraps a server for use by [`serve`].
-pub fn shared(server: Server) -> SharedServer {
-    Arc::new(Mutex::new(server))
-}
-
-/// Accept loop: serves connections on `listener` until the process exits,
-/// spawning one thread per connection. Transient accept errors and
-/// misbehaving clients never bring the loop down.
-pub fn serve(listener: TcpListener, server: SharedServer) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Pipelined bursts of small replies must not sit out Nagle
-                // delays waiting for an ACK.
-                let _ = stream.set_nodelay(true);
-                let server = Arc::clone(&server);
-                std::thread::spawn(move || {
-                    // I/O errors here mean the peer vanished — that
-                    // connection is done, nothing else is affected.
-                    let _ = handle_connection(stream, &server);
-                });
-            }
-            // Transient conditions: retry the accept itself.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                continue
-            }
-            // Per-connection failures surfaced at accept time (e.g.
-            // ECONNABORTED) must not kill the listener.
-            Err(_) => continue,
-        }
-    }
-}
-
-/// Binds an ephemeral listener and serves it on a background thread.
-/// Returns the bound address (used by tests and examples).
-pub fn spawn_server(server: Server) -> std::io::Result<SocketAddr> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let shared = shared(server);
-    std::thread::spawn(move || serve(listener, shared));
-    Ok(addr)
-}
-
-fn handle_connection(mut stream: TcpStream, server: &Mutex<Server>) -> std::io::Result<()> {
-    let mut session = Session::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            // EOF — clean close even if a command was left half-sent.
-            return Ok(());
-        }
-        let (replies, status) = {
-            let mut guard = server.lock().unwrap_or_else(|p| p.into_inner());
-            session.feed(&mut guard, &chunk[..n])
-        };
-        stream.write_all(replies)?;
-        if status == SessionStatus::Close {
-            return Ok(());
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
-    use std::net::Shutdown;
-    use std::time::Duration;
 
     fn wire(parts: &[&str]) -> Vec<u8> {
         RespValue::command(parts).encode().to_vec()
@@ -233,63 +156,5 @@ mod tests {
         assert_eq!(status, SessionStatus::Open);
         assert!(replies.is_empty());
         assert!(session.eof_mid_command());
-    }
-
-    fn read_reply(stream: &mut BufReader<TcpStream>) -> String {
-        let mut line = String::new();
-        stream.read_line(&mut line).unwrap();
-        line
-    }
-
-    #[test]
-    fn tcp_accept_loop_survives_malformed_frames_and_mid_command_eof() {
-        let addr = spawn_server(Server::new()).unwrap();
-        let timeout = Some(Duration::from_secs(5));
-
-        // Connection A: garbage bytes → error reply, then the server closes
-        // just this connection.
-        let a = TcpStream::connect(addr).unwrap();
-        a.set_read_timeout(timeout).unwrap();
-        let mut a_reader = BufReader::new(a.try_clone().unwrap());
-        (&a).write_all(b"?bogus\r\n").unwrap();
-        assert!(read_reply(&mut a_reader).starts_with("-ERR protocol error"));
-        let mut rest = Vec::new();
-        a_reader.read_to_end(&mut rest).unwrap();
-        assert!(rest.is_empty(), "server closed the bad connection");
-
-        // Connection B: hangs up mid-command — the server must shrug.
-        let b = TcpStream::connect(addr).unwrap();
-        let partial = wire(&["SET", "k", "v"]);
-        (&b).write_all(&partial[..partial.len() - 4]).unwrap();
-        b.shutdown(Shutdown::Both).unwrap();
-
-        // Connection C: the accept loop is still alive and serving.
-        let c = TcpStream::connect(addr).unwrap();
-        c.set_read_timeout(timeout).unwrap();
-        let mut c_reader = BufReader::new(c.try_clone().unwrap());
-        (&c).write_all(&wire(&["SET", "x", "1"])).unwrap();
-        assert_eq!(read_reply(&mut c_reader), "+OK\r\n");
-        (&c).write_all(&wire(&["GET", "x"])).unwrap();
-        assert_eq!(read_reply(&mut c_reader), "$1\r\n");
-        assert_eq!(read_reply(&mut c_reader), "1\r\n");
-    }
-
-    #[test]
-    fn tcp_sessions_share_one_keyspace() {
-        let addr = spawn_server(Server::new()).unwrap();
-        let timeout = Some(Duration::from_secs(5));
-
-        let a = TcpStream::connect(addr).unwrap();
-        a.set_read_timeout(timeout).unwrap();
-        let mut a_reader = BufReader::new(a.try_clone().unwrap());
-        (&a).write_all(&wire(&["SET", "shared", "yes"])).unwrap();
-        assert_eq!(read_reply(&mut a_reader), "+OK\r\n");
-
-        let b = TcpStream::connect(addr).unwrap();
-        b.set_read_timeout(timeout).unwrap();
-        let mut b_reader = BufReader::new(b.try_clone().unwrap());
-        (&b).write_all(&wire(&["GET", "shared"])).unwrap();
-        assert_eq!(read_reply(&mut b_reader), "$3\r\n");
-        assert_eq!(read_reply(&mut b_reader), "yes\r\n");
     }
 }

@@ -367,14 +367,15 @@ impl<V: Vfs> DurableServer<V> {
         let mut replies: Vec<Reply> = Vec::with_capacity(batch.len());
         let mut run: Vec<(u64, u64, u64)> = Vec::new();
         let mut run_insert = true;
-        let flush_run = |server: &mut Server, run: &mut Vec<(u64, u64, u64)>, insert: bool| {
+        let flush_run = |server: &Server, run: &mut Vec<(u64, u64, u64)>, insert: bool| {
             if run.is_empty() {
                 return;
             }
             if insert {
-                server.apply_graph_insert_run(run);
+                server.graph().ingest_weighted_batch(run);
             } else {
-                server.apply_graph_delete_run(run);
+                let pairs: Vec<(u64, u64)> = run.iter().map(|&(u, v, _)| (u, v)).collect();
+                server.graph().remove_batch(&pairs);
             }
             run.clear();
         };
@@ -382,14 +383,14 @@ impl<V: Vfs> DurableServer<V> {
             match plan {
                 Plan::Graph(insert, u, v, w) => {
                     if insert != run_insert {
-                        flush_run(&mut self.server, &mut run, run_insert);
+                        flush_run(&self.server, &mut run, run_insert);
                         run_insert = insert;
                     }
                     run.push((u, v, w));
                     replies.push(Reply::Ok);
                 }
                 other => {
-                    flush_run(&mut self.server, &mut run, run_insert);
+                    flush_run(&self.server, &mut run, run_insert);
                     replies.push(match other {
                         Plan::LoggedWrite => self.server.execute(parts),
                         Plan::Unlogged => self.execute(parts),
@@ -399,7 +400,7 @@ impl<V: Vfs> DurableServer<V> {
                 }
             }
         }
-        flush_run(&mut self.server, &mut run, run_insert);
+        flush_run(&self.server, &mut run, run_insert);
         replies
     }
 
@@ -490,11 +491,9 @@ impl<V: Vfs> DurableServer<V> {
     /// minimal rebuild commands to a temp file, manifest cleared first, atomic
     /// rename, append handle reopened. Returns the new log size.
     pub fn rewrite_aof(&mut self) -> Result<u64> {
-        self.server.aof_rewrite();
         let mut image = KV_AOF_MAGIC.to_vec();
-        for command in self.server.aof() {
-            encode_frame(&encode_command(command), &mut image);
-        }
+        self.server
+            .aof_rewrite(|command| encode_frame(&encode_command(&command), &mut image));
 
         let tmp = path(&self.cfg, KV_AOF_TMP);
         let mut file = self.vfs.create(&tmp)?;
@@ -816,6 +815,13 @@ mod tests {
         for _ in 0..100 {
             store.execute(&cmd(&["SET", "hot", "x"]));
         }
+        // Graph writes through the grouped-apply path: the rewrite must find
+        // them in live state (nothing else remembers them).
+        let batch: Vec<Vec<String>> = (0..50u64)
+            .map(|v| cmd(&["GRAPH.ADDEDGE", "1", &v.to_string(), "2"]))
+            .chain((1..50u64).map(|v| cmd(&["GRAPH.DELEDGE", "1", &v.to_string()])))
+            .collect();
+        assert!(store.execute_batch(&batch).iter().all(|r| *r == Reply::Ok));
         let before = store.aof_offset();
         assert!(matches!(
             store.execute(&cmd(&["BGREWRITEAOF"])),
@@ -826,8 +832,16 @@ mod tests {
         drop(store);
 
         let (mut back, report) = DurableServer::open(vfs, cfg(), make_server).unwrap();
-        assert_eq!(report.ops_replayed, 1, "one rebuild command remains");
+        assert_eq!(
+            report.ops_replayed, 2,
+            "one rebuild command per live key and per live edge remains"
+        );
         assert_eq!(back.execute(&cmd(&["GET", "hot"])), Reply::Bulk("x".into()));
+        assert_eq!(
+            back.execute(&cmd(&["GRAPH.SUCCESSORS", "1"])),
+            Reply::Array(vec![Reply::Bulk("0".into())])
+        );
+        assert_eq!(back.execute(&cmd(&["GRAPH.EDGECOUNT"])), Reply::Integer(1));
     }
 
     #[test]

@@ -1,10 +1,7 @@
 //! Pipelined concurrent serving: a non-blocking event loop with a sharded
 //! read path.
 //!
-//! The thread-per-connection front door in [`crate::net`] serializes every
-//! command — reads included — behind one server mutex, and pays a thread plus
-//! a wakeup per connection. This module replaces that shape for serving under
-//! traffic:
+//! The serving front end over [`crate::net`]'s RESP sessions:
 //!
 //! * **No per-connection thread.** One acceptor thread hands sockets to a
 //!   small fixed worker pool; each worker multiplexes many non-blocking
@@ -29,10 +26,6 @@
 //!   a still-in-flight write from the *same* connection is routed through the
 //!   writer queue behind it, so a client always reads its own writes; reads
 //!   with no write in flight take the concurrent path.
-//!
-//! [`ServerConfig::with_concurrent_dispatch`]`(false)` disables the read
-//! fast-path and routes *everything* through the writer — the serial-dispatch
-//! oracle the benchmarks and equivalence tests compare against.
 //!
 //! [`Sharded::read_view`]: cuckoograph::Sharded::read_view
 
@@ -65,7 +58,6 @@ const READ_CHUNK: usize = 16 * 1024;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     workers: usize,
-    concurrent_dispatch: bool,
     queue_depth: usize,
     batch_max: usize,
     tick_interval: Duration,
@@ -75,7 +67,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             workers: 2,
-            concurrent_dispatch: true,
             queue_depth: 1024,
             batch_max: 256,
             tick_interval: Duration::from_millis(100),
@@ -84,7 +75,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Default configuration: two workers, concurrent read dispatch on.
+    /// Default configuration: two workers.
     pub fn new() -> Self {
         Self::default()
     }
@@ -92,14 +83,6 @@ impl ServerConfig {
     /// Number of connection-handling worker threads (minimum 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// `false` routes **every** command — reads included — through the single
-    /// writer: the serial-dispatch oracle. `true` (the default) executes
-    /// graph reads concurrently on the workers.
-    pub fn with_concurrent_dispatch(mut self, on: bool) -> Self {
-        self.concurrent_dispatch = on;
         self
     }
 
@@ -122,14 +105,9 @@ impl ServerConfig {
         self.tick_interval = interval.max(Duration::from_millis(1));
         self
     }
-
-    /// Whether graph reads take the concurrent path.
-    pub fn concurrent_dispatch(&self) -> bool {
-        self.concurrent_dispatch
-    }
 }
 
-/// A write (or serially-routed) command in flight to the writer thread.
+/// A write (or writer-routed read) command in flight to the writer thread.
 struct WriteReq {
     worker: usize,
     conn: u64,
@@ -240,17 +218,8 @@ impl Reactor {
                     let graph = Arc::clone(&graph);
                     let running = Arc::clone(&running);
                     let write_tx = write_tx.clone();
-                    let concurrent = cfg.concurrent_dispatch;
                     move || {
-                        worker_loop(
-                            index,
-                            &graph,
-                            &running,
-                            &conn_rx,
-                            &completion_rx,
-                            &write_tx,
-                            concurrent,
-                        )
+                        worker_loop(index, &graph, &running, &conn_rx, &completion_rx, &write_tx)
                     }
                 })?;
             worker_threads.push(handle.thread().clone());
@@ -371,7 +340,6 @@ fn worker_loop(
     conn_rx: &Receiver<TcpStream>,
     completion_rx: &Receiver<Completion>,
     write_tx: &SyncSender<WriteReq>,
-    concurrent: bool,
 ) {
     let mut conns: Vec<(u64, Conn)> = Vec::new();
     let mut next_id = 0u64;
@@ -421,7 +389,7 @@ fn worker_loop(
                 }
             }
             if io_ok {
-                dispatch_buffered(index, *id, conn, graph, concurrent, write_tx);
+                dispatch_buffered(index, *id, conn, graph, write_tx);
                 if flush(conn).is_err() {
                     io_ok = false;
                 }
@@ -446,8 +414,8 @@ fn worker_loop(
 
 /// Decodes every complete command buffered on `conn` and routes each one:
 /// graph reads execute inline against a lazily-pinned [`ShardReadView`]
-/// (when the concurrent path is on and no same-connection write is in
-/// flight); everything else crosses the write queue. Each command claims the
+/// (when no same-connection write is in flight); everything else crosses the
+/// write queue. Each command claims the
 /// next sequence slot, so replies flush in submission order no matter which
 /// path answered first. One view covers the whole buffered burst and unpins
 /// on return.
@@ -456,7 +424,6 @@ fn dispatch_buffered(
     conn_id: u64,
     conn: &mut Conn,
     graph: &ShardedWeightedCuckooGraph,
-    concurrent: bool,
     write_tx: &SyncSender<WriteReq>,
 ) {
     let mut view: Option<ShardReadView<'_, WeightedCuckooGraph>> = None;
@@ -483,8 +450,7 @@ fn dispatch_buffered(
                     }
                     Ok(parts) => {
                         let command = parts[0].to_ascii_lowercase();
-                        let inline_read = concurrent
-                            && conn.writes_in_flight == 0
+                        let inline_read = conn.writes_in_flight == 0
                             && Server::classify_command(&command) == CommandClass::GraphRead;
                         if inline_read {
                             let snap = view.get_or_insert_with(|| graph.read_view());

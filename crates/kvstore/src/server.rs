@@ -9,8 +9,7 @@
 //! what lets the serving reactor answer `GRAPH.SUCCESSORS` / `GRAPH.DEGREE` /
 //! `GRAPH.HASEDGE` from a lock-free [`read_view`](cuckoograph::Sharded::read_view)
 //! while writes serialize through the durable writer. Every command still has
-//! a serial path through [`Server::execute`], so AOF replay and the
-//! serial-dispatch oracle work unchanged.
+//! a serial path through [`Server::execute`], which is what log replay runs.
 
 use crate::keyspace::{Keyspace, Value};
 use crate::module::{Module, Reply};
@@ -47,8 +46,6 @@ pub struct Server {
     modules: Vec<Box<dyn Module>>,
     /// Maps a module command name to the index of the owning module.
     command_index: HashMap<String, usize>,
-    /// The append-only log of write commands since start-up or last rewrite.
-    aof: Vec<Vec<String>>,
     /// The served graph behind `GRAPH.*` — shared so the reactor's readers
     /// can hold it without holding the server.
     graph: Arc<ShardedWeightedCuckooGraph>,
@@ -60,7 +57,6 @@ impl std::fmt::Debug for Server {
             .field("keys", &self.keyspace.len())
             .field("modules", &self.modules.len())
             .field("commands", &self.command_index.len())
-            .field("aof_entries", &self.aof.len())
             .field("graph_edges", &self.graph.edge_count())
             .finish()
     }
@@ -84,7 +80,6 @@ impl Server {
             keyspace: Keyspace::new(),
             modules: Vec::new(),
             command_index: HashMap::new(),
-            aof: Vec::new(),
             graph: Arc::new(ShardedWeightedCuckooGraph::new(shards.max(1))),
         }
     }
@@ -120,11 +115,6 @@ impl Server {
         &self.keyspace
     }
 
-    /// Number of write commands currently recorded in the AOF.
-    pub fn aof_len(&self) -> usize {
-        self.aof.len()
-    }
-
     /// Executes a command given as words and returns the reply.
     pub fn execute(&mut self, parts: &[String]) -> Reply {
         if parts.is_empty() {
@@ -132,7 +122,7 @@ impl Server {
         }
         let command = parts[0].to_ascii_lowercase();
         let args = &parts[1..];
-        let reply = match command.as_str() {
+        match command.as_str() {
             "ping" => Reply::Simple("PONG".into()),
             "set" => self.cmd_set(args),
             "get" => self.cmd_get(args),
@@ -157,11 +147,7 @@ impl Server {
                 Some(&idx) => self.modules[idx].dispatch(&mut self.keyspace, &command, args),
                 None => Reply::Error(format!("ERR unknown command '{command}'")),
             },
-        };
-        if !matches!(reply, Reply::Error(_)) && Self::is_write_command(&command) {
-            self.aof.push(parts.to_vec());
         }
-        reply
     }
 
     /// Executes a RESP-encoded command buffer and returns the RESP reply.
@@ -202,7 +188,7 @@ impl Server {
     }
 
     /// Whether a (lowercased) command name mutates state — these are the
-    /// commands the AOF records.
+    /// commands the durable log records.
     pub fn is_write_command(command: &str) -> bool {
         Self::classify_command(command) == CommandClass::Write
     }
@@ -291,33 +277,6 @@ impl Server {
                 Reply::Ok
             }
             Err(e) => e,
-        }
-    }
-
-    /// Applies a pre-validated run of `GRAPH.ADDEDGE` triples through the
-    /// sharded batch-ingest path and records the commands in the in-memory
-    /// AOF — the queued writer's grouped-apply entry point (the commands were
-    /// already written to the durable log).
-    pub(crate) fn apply_graph_insert_run(&mut self, run: &[(NodeId, NodeId, u64)]) {
-        self.graph.ingest_weighted_batch(run);
-        for &(u, v, w) in run {
-            self.aof.push(vec![
-                "graph.addedge".into(),
-                u.to_string(),
-                v.to_string(),
-                w.to_string(),
-            ]);
-        }
-    }
-
-    /// The `GRAPH.DELEDGE` counterpart of
-    /// [`Server::apply_graph_insert_run`].
-    pub(crate) fn apply_graph_delete_run(&mut self, run: &[(NodeId, NodeId, u64)]) {
-        let pairs: Vec<(NodeId, NodeId)> = run.iter().map(|&(u, v, _)| (u, v)).collect();
-        self.graph.remove_batch(&pairs);
-        for &(u, v) in &pairs {
-            self.aof
-                .push(vec!["graph.deledge".into(), u.to_string(), v.to_string()]);
         }
     }
 
@@ -593,7 +552,7 @@ impl Server {
                 ),
                 1 => {
                     let n = read_u64(bytes, &mut cursor)?;
-                    let mut items = Vec::with_capacity(n as usize);
+                    let mut items = Vec::with_capacity(clamp_count(n, bytes, cursor));
                     for _ in 0..n {
                         items.push(
                             String::from_utf8(read_bytes(bytes, &mut cursor)?.to_vec())
@@ -604,7 +563,7 @@ impl Server {
                 }
                 2 => {
                     let n = read_u64(bytes, &mut cursor)?;
-                    let mut map = HashMap::with_capacity(n as usize);
+                    let mut map = HashMap::with_capacity(clamp_count(n, bytes, cursor));
                     for _ in 0..n {
                         let k = String::from_utf8(read_bytes(bytes, &mut cursor)?.to_vec())
                             .map_err(|_| "non-UTF-8 hash key".to_string())?;
@@ -634,7 +593,7 @@ impl Server {
         let mut graph = ShardedWeightedCuckooGraph::new(self.graph.shard_count());
         if cursor < bytes.len() {
             let n = read_u64(bytes, &mut cursor)?;
-            let mut triples = Vec::with_capacity((n as usize).min(bytes.len() / 3));
+            let mut triples = Vec::with_capacity(clamp_count(n, bytes, cursor));
             for _ in 0..n {
                 let u = read_u64(bytes, &mut cursor)?;
                 let v = read_u64(bytes, &mut cursor)?;
@@ -653,54 +612,40 @@ impl Server {
         Ok(())
     }
 
-    /// Replays an AOF command log (e.g. after a restart).
-    pub fn replay_aof(&mut self, log: &[Vec<String>]) {
-        for command in log {
-            self.execute(command);
-        }
-    }
-
-    /// Returns the current AOF contents.
-    pub fn aof(&self) -> &[Vec<String>] {
-        &self.aof
-    }
-
-    /// Rewrites the AOF: replaces the accumulated command log with the minimal
-    /// command sequence that rebuilds the current keyspace (module values use
-    /// their `aof_rewrite` callback).
-    pub fn aof_rewrite(&mut self) {
-        let mut rewritten: Vec<Vec<String>> = Vec::new();
+    /// The log-rewrite walk: calls `emit` with the minimal command sequence
+    /// that rebuilds the current state — keyspace values (module values
+    /// through their `aof_rewrite` callback), then one weighted
+    /// `GRAPH.ADDEDGE` per stored edge of the served graph. Read-only; the
+    /// caller decides where the commands go.
+    pub fn aof_rewrite(&self, mut emit: impl FnMut(Vec<String>)) {
         let mut keys: Vec<&String> = self.keyspace.keys();
         keys.sort();
         for key in keys {
             match self.keyspace.get(key).expect("key listed") {
-                Value::Str(s) => rewritten.push(vec!["set".into(), key.clone(), s.clone()]),
+                Value::Str(s) => emit(vec!["set".into(), key.clone(), s.clone()]),
                 Value::List(items) => {
                     for item in items.iter().rev() {
-                        rewritten.push(vec!["lpush".into(), key.clone(), item.clone()]);
+                        emit(vec!["lpush".into(), key.clone(), item.clone()]);
                     }
                 }
                 Value::Hash(map) => {
                     let mut entries: Vec<_> = map.iter().collect();
                     entries.sort();
                     for (k, v) in entries {
-                        rewritten.push(vec!["hset".into(), key.clone(), k.clone(), v.clone()]);
+                        emit(vec!["hset".into(), key.clone(), k.clone(), v.clone()]);
                     }
                 }
-                Value::Module(m) => rewritten.extend(m.aof_rewrite(key)),
+                Value::Module(m) => m.aof_rewrite(key).into_iter().for_each(&mut emit),
             }
         }
-        // Rebuild commands for the served graph: one weighted GRAPH.ADDEDGE
-        // per stored edge, mirroring the module values' `aof_rewrite`.
         for r in self.graph_records_sorted() {
-            rewritten.push(vec![
+            emit(vec![
                 "graph.addedge".into(),
                 r.source.to_string(),
                 r.target.to_string(),
                 r.weight.to_string(),
             ]);
         }
-        self.aof = rewritten;
     }
 }
 
@@ -750,16 +695,25 @@ fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
+/// Bounds an element count read from a snapshot by the bytes left to parse
+/// (every element takes at least one), so a crafted count cannot size an
+/// allocation.
+fn clamp_count(n: u64, bytes: &[u8], cursor: usize) -> usize {
+    usize::try_from(n)
+        .unwrap_or(usize::MAX)
+        .min(bytes.len() - cursor)
+}
+
 fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, String> {
-    let end = *cursor + 8;
+    let end = cursor.checked_add(8).ok_or("truncated snapshot")?;
     let slice = bytes.get(*cursor..end).ok_or("truncated snapshot")?;
     *cursor = end;
     Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
 }
 
 fn read_bytes<'a>(bytes: &'a [u8], cursor: &mut usize) -> Result<&'a [u8], String> {
-    let len = read_u64(bytes, cursor)? as usize;
-    let end = *cursor + len;
+    let len = usize::try_from(read_u64(bytes, cursor)?).map_err(|_| "truncated snapshot")?;
+    let end = cursor.checked_add(len).ok_or("truncated snapshot")?;
     let slice = bytes.get(*cursor..end).ok_or("truncated snapshot")?;
     *cursor = end;
     Ok(slice)
@@ -855,19 +809,26 @@ mod tests {
         assert_eq!(restored.keyspace().len(), 3);
     }
 
+    /// Runs the rewrite walk of `s` and executes its output on a fresh
+    /// server, returning that server and the number of commands emitted.
+    fn rebuild_from_rewrite(s: &Server) -> (Server, usize) {
+        let mut log = Vec::new();
+        s.aof_rewrite(|command| log.push(command));
+        let mut rebuilt = Server::new();
+        for command in &log {
+            assert!(!matches!(rebuilt.execute(command), Reply::Error(_)));
+        }
+        (rebuilt, log.len())
+    }
+
     #[test]
-    fn aof_records_writes_and_rewrite_compacts() {
+    fn aof_rewrite_folds_superseded_writes() {
         let mut s = Server::new();
         s.execute(&cmd(&["SET", "k", "1"]));
         s.execute(&cmd(&["SET", "k", "2"]));
         s.execute(&cmd(&["GET", "k"]));
-        assert_eq!(s.aof_len(), 2, "reads must not be logged");
-        s.aof_rewrite();
-        assert_eq!(s.aof_len(), 1, "rewrite folds superseded writes");
-
-        let log = s.aof().to_vec();
-        let mut replayed = Server::new();
-        replayed.replay_aof(&log);
+        let (mut replayed, emitted) = rebuild_from_rewrite(&s);
+        assert_eq!(emitted, 1, "rewrite folds superseded writes");
         assert_eq!(
             replayed.execute(&cmd(&["GET", "k"])),
             Reply::Bulk("2".into())
@@ -898,8 +859,7 @@ mod tests {
             s.execute(&cmd(&["GRAPH.HASEDGE", "1", "2"])),
             Reply::Integer(0)
         );
-        // Bad arguments are refused before they reach the graph or the AOF.
-        let before = s.aof_len();
+        // Bad arguments are refused before they reach the graph.
         assert!(matches!(
             s.execute(&cmd(&["GRAPH.ADDEDGE", "x", "2"])),
             Reply::Error(_)
@@ -908,7 +868,7 @@ mod tests {
             s.execute(&cmd(&["GRAPH.ADDEDGE", "1", "2", "0"])),
             Reply::Error(_)
         ));
-        assert_eq!(s.aof_len(), before);
+        assert_eq!(s.execute(&cmd(&["GRAPH.EDGECOUNT"])), Reply::Integer(1));
     }
 
     #[test]
@@ -933,7 +893,7 @@ mod tests {
         assert_eq!(Server::classify_command("graph.query"), CommandClass::Read);
         assert_eq!(Server::classify_command("get"), CommandClass::Read);
         assert_eq!(Server::classify_command("save"), CommandClass::Read);
-        // The AOF predicate must agree with the classification.
+        // The log predicate must agree with the classification.
         assert!(Server::is_write_command("graph.addedge"));
         assert!(!Server::is_write_command("graph.successors"));
     }
@@ -961,11 +921,9 @@ mod tests {
             Reply::Bulk("v".into())
         );
 
-        // AOF rewrite emits rebuild commands that replay to the same graph.
-        s.aof_rewrite();
-        let log = s.aof().to_vec();
-        let mut replayed = Server::new();
-        replayed.replay_aof(&log);
+        // The rewrite walk emits rebuild commands that replay to the same
+        // graph.
+        let (mut replayed, _) = rebuild_from_rewrite(&s);
         assert_eq!(
             replayed.execute(&cmd(&["GRAPH.SUCCESSORS", "1"])),
             Reply::Array(vec![Reply::Bulk("2".into())])
@@ -1007,5 +965,23 @@ mod tests {
         };
         snapshot.truncate(snapshot.len() - 2);
         assert!(s.load_rdb(&snapshot).is_err());
+
+        // Crafted lengths: one key "a" whose list count, hash count or byte
+        // length claims far more than the file holds. Each must be an `Err`,
+        // never an overflow or capacity panic.
+        let key_a = |tag: u8| {
+            let mut image = Vec::new();
+            write_u64(&mut image, 1);
+            write_bytes(&mut image, b"a");
+            image.push(tag);
+            image
+        };
+        for huge in [u64::MAX, u64::MAX / 2, 1 << 40] {
+            for tag in [0u8, 1, 2] {
+                let mut image = key_a(tag);
+                write_u64(&mut image, huge);
+                assert!(s.load_rdb(&image).is_err(), "tag {tag}, length {huge}");
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the pipelined serving reactor: burst ordering,
-//! concurrent readers under an ingest stream (vs. a serial oracle), the
-//! serial-dispatch mode itself, and crash-style recovery through the queued
-//! durable writer.
+//! concurrent readers under an ingest stream (vs. a serially driven server),
+//! connection-level fault isolation, and crash-style recovery through the
+//! queued durable writer.
 
 use bytes::BytesMut;
 use graph_durability::store::DurabilityConfig;
@@ -10,7 +10,7 @@ use kvstore::graph_module::CuckooGraphModule;
 use kvstore::reactor::{Reactor, ServerConfig};
 use kvstore::{DurableServer, RespValue, Server};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 fn cfg() -> DurabilityConfig {
@@ -212,26 +212,6 @@ fn concurrent_readers_under_ingest_match_the_serial_oracle() {
 }
 
 #[test]
-fn serial_dispatch_oracle_serves_the_same_protocol() {
-    let vfs = SimVfs::new();
-    let reactor = spawn_reactor(&vfs, ServerConfig::new().with_concurrent_dispatch(false));
-    let mut client = Client::connect(&reactor);
-
-    assert_eq!(client.roundtrip(&["GRAPH.ADDEDGE", "3", "4"]), ok());
-    assert_eq!(
-        client.roundtrip(&["GRAPH.HASEDGE", "3", "4"]),
-        RespValue::Integer(1)
-    );
-    assert_eq!(
-        client.roundtrip(&["GRAPH.SUCCESSORS", "3"]),
-        RespValue::Array(vec![RespValue::bulk("4")])
-    );
-    assert_eq!(client.roundtrip(&["SET", "k", "v"]), ok());
-    assert_eq!(client.roundtrip(&["GET", "k"]), RespValue::bulk("v"));
-    reactor.shutdown();
-}
-
-#[test]
 fn acknowledged_writes_survive_shutdown_and_recover() {
     let vfs = SimVfs::new();
     {
@@ -273,8 +253,23 @@ fn malformed_frame_closes_only_that_connection() {
     bad.stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "reactor closed the poisoned connection");
 
+    // A peer that hangs up mid-command is a clean close: nothing of the
+    // half-sent command executes and the reactor keeps serving.
+    let half = Client::connect(&reactor);
+    let partial = RespValue::command(&["SET", "half", "sent"]).encode();
+    (&half.stream)
+        .write_all(&partial[..partial.len() - 4])
+        .unwrap();
+    half.stream.shutdown(Shutdown::Both).unwrap();
+
     let mut good = Client::connect(&reactor);
     assert_eq!(good.roundtrip(&["SET", "x", "1"]), ok());
     assert_eq!(good.roundtrip(&["GET", "x"]), RespValue::bulk("1"));
+    assert_eq!(good.roundtrip(&["GET", "half"]), RespValue::Null);
+
+    // Connections share one keyspace: a second connection reads the first
+    // one's write.
+    let mut other = Client::connect(&reactor);
+    assert_eq!(other.roundtrip(&["GET", "x"]), RespValue::bulk("1"));
     reactor.shutdown();
 }

@@ -3,24 +3,32 @@
 //!
 //! IP flows arrive as a CAIDA-like stream of (source, destination) pairs with
 //! heavy duplication. The stream is ingested through the key-value store's
-//! CuckooGraph module commands, queried for suspicious fan-out (scanners), and
-//! persisted/restored through the RDB snapshot path.
+//! CuckooGraph module commands (each write logged before it executes), queried
+//! for suspicious fan-out (scanners), persisted/restored through the RDB
+//! snapshot path, and its command log compacted with `BGREWRITEAOF`.
 //!
 //! ```text
 //! cargo run --release --example network_monitoring
 //! ```
 
 use cuckoograph_repro::graph_datasets::{generate, DatasetKind};
-use cuckoograph_repro::kvstore::{CuckooGraphModule, Reply, Server};
+use cuckoograph_repro::graph_durability::{DurabilityConfig, SimVfs};
+use cuckoograph_repro::kvstore::{CuckooGraphModule, DurableServer, Reply, Server};
 
 fn cmd(parts: &[String]) -> Vec<String> {
     parts.to_vec()
 }
 
 fn main() {
-    // Boot the store and load the CuckooGraph module (--loadmodule moment).
-    let mut server = Server::new();
-    server.load_module(Box::new(CuckooGraphModule::new()));
+    // Boot the store over an in-memory disk and load the CuckooGraph module
+    // (--loadmodule moment).
+    let (mut server, _) =
+        DurableServer::open(SimVfs::new(), DurabilityConfig::new("flows"), || {
+            let mut server = Server::new();
+            server.load_module(Box::new(CuckooGraphModule::new()));
+            server
+        })
+        .expect("fresh store opens");
 
     // A CAIDA-like trace at 1/500 of the published size.
     let trace = generate(DatasetKind::Caida, 0.002, 99);
@@ -76,7 +84,7 @@ fn main() {
 
     // Persistence: snapshot, restart, restore — the module's save_rdb /
     // load_rdb callbacks at work.
-    let snapshot = server.save_rdb();
+    let snapshot = server.server().save_rdb();
     println!("\nRDB snapshot size      : {} bytes", snapshot.len());
     let mut restarted = Server::new();
     restarted.load_module(Box::new(CuckooGraphModule::new()));
@@ -93,7 +101,7 @@ fn main() {
 
     // AOF rewrite folds the whole ingest history into the minimal command
     // sequence that rebuilds the graph.
-    println!("\nAOF length before rewrite: {}", server.aof_len());
-    server.aof_rewrite();
-    println!("AOF length after rewrite : {}", server.aof_len());
+    println!("\nAOF bytes before rewrite: {}", server.aof_offset());
+    server.execute(&cmd(&["BGREWRITEAOF".into()]));
+    println!("AOF bytes after rewrite : {}", server.aof_offset());
 }

@@ -13,10 +13,10 @@
 //! 2. **Result equivalence**: once the writer finishes, the concurrently
 //!    mutated graph is identical to a serially driven oracle fed the same
 //!    batches in the same order.
-//! 3. **Oracle-path pinning**: `with_concurrent_reads(false)` — the
-//!    exclusive writer-gate path — produces bit-identical results to the
-//!    concurrent path and to the classic `&mut` surface, so the pre-PR-7
-//!    behaviour remains live and comparable.
+//! 3. **Exclusive-path pinning**: the shared (`&self`) surface and the
+//!    classic `&mut` surface both produce exactly the edge set a `BTreeSet`
+//!    model driven by the same batches holds, with identical structural
+//!    stats.
 //!
 //! Plus honest accounting: epoch advances equal the number of mutation
 //! windows the batches mathematically must open, and reader pins equal the
@@ -155,12 +155,12 @@ proptest! {
         prop_assert_eq!(ours, theirs);
     }
 
-    /// `with_concurrent_reads(false)` pins the pre-PR-7 exclusive path: the
-    /// oracle mode, the concurrent mode, and the classic `&mut` surface all
-    /// produce identical graphs and (modulo the read/epoch counter block)
-    /// identical stats for the same operation sequence.
+    /// The shared (`&self`) surface and the classic `&mut` surface both
+    /// produce exactly the edge set of a `BTreeSet` model fed the same
+    /// batches, with the same op return values and (modulo the read/epoch
+    /// counter block) identical stats.
     #[test]
-    fn oracle_mode_is_pinned_to_the_exclusive_path(
+    fn shared_surface_is_pinned_to_the_exclusive_path(
         seed in 1u64..500,
         shards in 1usize..5,
     ) {
@@ -168,31 +168,29 @@ proptest! {
         let stable = stable_edges(seed);
         let churn = churn_edges(seed);
 
+        // The model: inserts count newly created edges, removals count edges
+        // that were present — the batch return values both surfaces report.
+        let mut model: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        let created_stable = stable.iter().filter(|&&e| model.insert(e)).count();
+        let created_churn = churn.iter().filter(|&&e| model.insert(e)).count();
+        let removed_churn = churn.iter().filter(|e| model.remove(e)).count();
+
         let concurrent = ShardedCuckooGraph::with_config(shards, config.clone());
-        let oracle = ShardedCuckooGraph::with_config(
-            shards,
-            config.clone().with_concurrent_reads(false),
-        );
         let mut exclusive = ShardedCuckooGraph::with_config(shards, config.clone());
+        prop_assert_eq!(concurrent.ingest_batch(&stable), created_stable);
+        prop_assert_eq!(concurrent.ingest_batch(&churn), created_churn);
+        prop_assert_eq!(concurrent.remove_batch(&churn), removed_churn);
+        prop_assert_eq!(exclusive.insert_edges(&stable), created_stable);
+        prop_assert_eq!(exclusive.insert_edges(&churn), created_churn);
+        prop_assert_eq!(exclusive.remove_edges(&churn), removed_churn);
 
-        for g in [&concurrent, &oracle] {
-            g.ingest_batch(&stable);
-            g.ingest_batch(&churn);
-            g.remove_batch(&churn);
-        }
-        exclusive.insert_edges(&stable);
-        exclusive.insert_edges(&churn);
-        exclusive.remove_edges(&churn);
-
-        for (name, g) in [("concurrent", &concurrent), ("oracle", &oracle)] {
-            prop_assert_eq!(g.edge_count(), exclusive.edge_count(), "{}", name);
+        let want: Vec<(NodeId, NodeId)> = model.iter().copied().collect();
+        for (name, g) in [("concurrent", &concurrent), ("exclusive", &exclusive)] {
+            prop_assert_eq!(g.edge_count(), want.len(), "{}", name);
             let mut ours: Vec<(NodeId, NodeId)> = Vec::new();
             g.for_each_edge(|u, v| ours.push((u, v)));
-            let mut theirs: Vec<(NodeId, NodeId)> = Vec::new();
-            exclusive.for_each_edge(|u, v| theirs.push((u, v)));
             ours.sort_unstable();
-            theirs.sort_unstable();
-            prop_assert_eq!(ours, theirs, "{} edge set diverged", name);
+            prop_assert_eq!(&ours, &want, "{} edge set diverged from the model", name);
         }
 
         // Structural stats agree too, once the counters that legitimately
@@ -202,9 +200,8 @@ proptest! {
         // where the direct path hits — `pool_retired` still counts the same
         // TRANSFORMATION events either way).
         let mut a = concurrent.stats();
-        let mut b = oracle.stats();
         let mut c = exclusive.stats();
-        for s in [&mut a, &mut b, &mut c] {
+        for s in [&mut a, &mut c] {
             s.reader_retries = 0;
             s.read_pins = 0;
             s.epoch_advances = 0;
@@ -219,14 +216,7 @@ proptest! {
             // segment tombstone/compaction counters stay compared.
             s.segment_bytes = 0;
         }
-        prop_assert_eq!(&a, &b, "concurrent vs oracle stats");
         prop_assert_eq!(&a, &c, "concurrent vs exclusive stats");
-
-        // And the oracle mode never touched the concurrency machinery.
-        let oracle_stats = oracle.stats();
-        prop_assert_eq!(oracle_stats.read_pins, 0);
-        prop_assert_eq!(oracle_stats.epoch_advances, 0);
-        prop_assert_eq!(oracle_stats.pool_deferred, 0);
     }
 }
 

@@ -2,10 +2,11 @@
 //! arena.
 //!
 //! The table pool only changes where a fresh table's buffers *come from*
-//! (recycled vs allocator), never what they contain — so a pool-on graph and
-//! a pool-off graph driven through the same operation sequence must be
-//! structurally identical: same edge set, same successor sets, same stats
-//! (up to the pool's own counters). The tests pin that equivalence under
+//! (recycled vs allocator), never what they contain — so a pooled graph
+//! driven through an operation sequence must hold exactly what a
+//! `BTreeSet`/`BTreeMap` model driven by the same sequence holds: same op
+//! return values, edge set, successor sets and counts, with capacity and
+//! memory inside what the model's size allows. The tests pin that under
 //! random insert/delete churn, serially and sharded, and additionally pin
 //! the PR-6 satellite fixes: loading-rate aggregates must reflect live
 //! tables only (recycled buffer capacity never leaks into `lcht_cells`),
@@ -19,7 +20,7 @@ use cuckoograph::{
 };
 use graph_api::{DynamicGraph, WeightedDynamicGraph};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One operation of the randomised churn workload. Weighted towards inserts
 /// so graphs grow through expansion thresholds, with enough deletes to drive
@@ -53,15 +54,91 @@ fn edges_of(op: &Op, fanout: u64) -> (bool, Vec<(NodeId, NodeId)>) {
     }
 }
 
-/// Zeroes the counters that legitimately differ between a pool-on and a
-/// pool-off run (hit/miss split and idle retained capacity); everything
-/// else — including `pool_retired`, which counts the same TRANSFORMATION
-/// events either way — must match exactly.
-fn neutralize_pool(mut s: StructureStats) -> StructureStats {
-    s.pool_hits = 0;
-    s.pool_misses = 0;
-    s.pool_retained_bytes = 0;
-    s
+/// The reference the engine is checked against: the exact edge set, every
+/// source that ever received an insert (cells persist once created), and the
+/// high-water edge count (pooled buffers are sized by past peaks).
+#[derive(Debug, Default)]
+struct Model {
+    edges: BTreeSet<(NodeId, NodeId)>,
+    sources: BTreeSet<NodeId>,
+    peak_edges: usize,
+}
+
+impl Model {
+    /// Applies a batch insert, returning how many edges were newly created —
+    /// the value `insert_edges` must report.
+    fn insert(&mut self, edges: &[(NodeId, NodeId)]) -> usize {
+        let mut created = 0;
+        for &(u, v) in edges {
+            self.sources.insert(u);
+            created += usize::from(self.edges.insert((u, v)));
+        }
+        self.peak_edges = self.peak_edges.max(self.edges.len());
+        created
+    }
+
+    /// Applies a batch removal, returning how many edges were present — the
+    /// value `remove_edges` must report.
+    fn remove(&mut self, edges: &[(NodeId, NodeId)]) -> usize {
+        edges.iter().filter(|e| self.edges.remove(e)).count()
+    }
+
+    fn successors(&self, u: NodeId) -> Vec<NodeId> {
+        self.edges
+            .range((u, 0)..=(u, NodeId::MAX))
+            .map(|&(_, v)| v)
+            .collect()
+    }
+
+    fn sorted_edges(&self) -> Vec<(NodeId, NodeId)> {
+        self.edges.iter().copied().collect()
+    }
+}
+
+/// Cells of one base-geometry table under the tests' config
+/// (`base_len = 4`, `d = 8`, bucket arrays 2:1).
+const BASE_TABLE_SLOTS: usize = 4 * 8 * 3 / 2;
+
+/// Checks the capacity-derived aggregates against the model. Recycled
+/// buffers carry excess `Vec` capacity; the stats must count **live**
+/// geometry only, so the slot counts stay within what the TRANSFORMATION
+/// rule can reach from the model's node and edge counts: a chain past its
+/// base geometry never sits below a quarter full (expansion fires at `G`,
+/// contraction at `Λ`; a fresh merge lands at `2G/3`).
+fn check_shape_against_model(s: &StructureStats, model: &Model, shards: usize) {
+    assert_eq!(s.edges, model.edges.len(), "edge count diverges");
+    assert_eq!(s.nodes, model.sources.len(), "node count diverges");
+    assert!(
+        s.lcht_cells <= (shards * BASE_TABLE_SLOTS).max(4 * s.nodes),
+        "L-CHT capacity {} inflated past the model's {} nodes",
+        s.lcht_cells,
+        s.nodes
+    );
+    // Only cells past the inline capacity (2R = 6) own S-CHT tables.
+    let mut chained_bound = 0usize;
+    for &u in &model.sources {
+        let degree = model.successors(u).len();
+        if degree > 6 {
+            chained_bound += BASE_TABLE_SLOTS.max(4 * degree);
+        }
+    }
+    assert!(
+        s.scht_slots <= chained_bound,
+        "S-CHT capacity {} inflated past the model's bound {}",
+        s.scht_slots,
+        chained_bound
+    );
+    let rate = s.lcht_loading_rate();
+    if s.nodes > 0 {
+        assert!(
+            rate > 0.0 && rate <= 1.0,
+            "loading rate out of range: {rate}"
+        );
+        assert!(
+            (rate - s.nodes as f64 / s.lcht_cells as f64).abs() < 1e-12,
+            "loading rate not nodes/cells"
+        );
+    }
 }
 
 fn sorted_edges(g: &CuckooGraph) -> Vec<(NodeId, NodeId)> {
@@ -73,11 +150,10 @@ fn sorted_edges(g: &CuckooGraph) -> Vec<(NodeId, NodeId)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Pool-on and pool-off engines driven through the same churn sequence
-    /// are indistinguishable from the outside: identical edge sets,
-    /// successor sets (fast and scalar scan), degrees, and stats modulo the
-    /// pool's own counters. Memory may differ only by what the pool
-    /// honestly reports as retained.
+    /// A pooled engine driven through a churn sequence is indistinguishable
+    /// from the set model: identical op return values, edge set, successor
+    /// sets, degrees, and counts. Memory stays within what the model's
+    /// high-water mark can account for, pooled capacity included.
     #[test]
     fn pooled_graph_matches_pool_off_oracle_under_churn(
         ops in prop::collection::vec(op_strategy(24, 40), 1..120),
@@ -87,51 +163,57 @@ proptest! {
             .with_lcht_base_len(4)
             .with_scht_base_len(4)
             .with_seed(seed);
-        let mut pooled = CuckooGraph::with_config(config.clone().with_table_pool(true));
-        let mut oracle = CuckooGraph::with_config(config.with_table_pool(false));
+        let mut pooled = CuckooGraph::with_config(config);
+        let mut model = Model::default();
+        let empty_bytes = pooled.memory_bytes();
 
         for op in &ops {
             let (insert, edges) = edges_of(op, 40);
             if insert {
-                prop_assert_eq!(pooled.insert_edges(&edges), oracle.insert_edges(&edges));
+                prop_assert_eq!(pooled.insert_edges(&edges), model.insert(&edges));
             } else {
-                prop_assert_eq!(pooled.remove_edges(&edges), oracle.remove_edges(&edges));
+                prop_assert_eq!(pooled.remove_edges(&edges), model.remove(&edges));
             }
         }
 
-        prop_assert_eq!(sorted_edges(&pooled), sorted_edges(&oracle));
+        prop_assert_eq!(sorted_edges(&pooled), model.sorted_edges());
         for u in 0..24u64 {
+            let want = model.successors(u);
             let mut a = pooled.successors(u);
-            let mut b = oracle.successors(u);
             a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(&a, &b, "successors of {} diverge", u);
-            let mut scalar = Vec::new();
-            pooled.for_each_successor_scalar(u, &mut |v| scalar.push(v));
-            scalar.sort_unstable();
-            prop_assert_eq!(&scalar, &a, "scalar scan of {} diverges", u);
-            prop_assert_eq!(pooled.out_degree(u), oracle.out_degree(u));
+            prop_assert_eq!(&a, &want, "successors of {} diverge", u);
+            prop_assert_eq!(pooled.out_degree(u), want.len());
+            for &v in &want {
+                prop_assert!(pooled.has_edge(u, v), "lost edge ({}, {})", u, v);
+            }
         }
 
         let ps = pooled.stats();
-        let os = oracle.stats();
-        prop_assert_eq!(os.pool_hits, 0, "disabled pool served a hit");
-        prop_assert_eq!(os.pool_retained_bytes, 0, "disabled pool retained bytes");
-        prop_assert_eq!(neutralize_pool(ps.clone()), neutralize_pool(os));
+        check_shape_against_model(&ps, &model, 1);
+        prop_assert_eq!(
+            ps.pool_hits + ps.pool_misses > 0,
+            ps.lcht_tables + ps.scht_tables > 0,
+            "every live table was born through the pool"
+        );
 
         // Pooling may only add what it honestly reports as retained, plus the
         // ride-along capacity of live tables born from recycled buffers —
         // which `TablePool::acquire` caps at 4× each table's geometric size.
+        // Against the model that is a per-cell and a per-edge budget at the
+        // high-water mark (idle buffers are sized by past peaks).
         let retained = ps.pool_retained_bytes;
+        prop_assert!(retained <= pooled.memory_bytes(), "retained bytes not counted");
+        let budget = empty_bytes + 512 * model.sources.len() + 256 * model.peak_edges;
         prop_assert!(
-            pooled.memory_bytes() <= 4 * oracle.memory_bytes() + retained,
-            "pooled memory exceeds capacity-capped bound: {} > 4 * {} + {}",
-            pooled.memory_bytes(), oracle.memory_bytes(), retained
+            pooled.memory_bytes() <= budget,
+            "memory {} exceeds the model's budget {} ({} cells, peak {} edges)",
+            pooled.memory_bytes(), budget, model.sources.len(), model.peak_edges
         );
     }
 
     /// The same equivalence holds across the sharded fan-out: each shard's
-    /// pool is private, so N pooled shards must match N pool-off shards.
+    /// pool is private, and N pooled shards together still hold exactly the
+    /// model's edges.
     #[test]
     fn sharded_pooled_matches_sharded_pool_off(
         ops in prop::collection::vec(op_strategy(48, 30), 1..60),
@@ -140,34 +222,29 @@ proptest! {
         let config = CuckooGraphConfig::default()
             .with_lcht_base_len(4)
             .with_scht_base_len(4);
-        let mut pooled =
-            ShardedCuckooGraph::with_config(shards, config.clone().with_table_pool(true));
-        let mut oracle = ShardedCuckooGraph::with_config(shards, config.with_table_pool(false));
+        let mut pooled = ShardedCuckooGraph::with_config(shards, config);
+        let mut model = Model::default();
 
         for op in &ops {
             let (insert, edges) = edges_of(op, 30);
             if insert {
-                prop_assert_eq!(pooled.insert_edges(&edges), oracle.insert_edges(&edges));
+                prop_assert_eq!(pooled.insert_edges(&edges), model.insert(&edges));
             } else {
-                prop_assert_eq!(pooled.remove_edges(&edges), oracle.remove_edges(&edges));
+                prop_assert_eq!(pooled.remove_edges(&edges), model.remove(&edges));
             }
         }
 
         let a: BTreeSet<(NodeId, NodeId)> = pooled.par_edges().into_iter().collect();
-        let b: BTreeSet<(NodeId, NodeId)> = oracle.par_edges().into_iter().collect();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(
-            neutralize_pool(pooled.stats()),
-            neutralize_pool(oracle.stats())
-        );
+        prop_assert_eq!(&a, &model.edges);
+        check_shape_against_model(&pooled.stats(), &model, shards);
     }
 
     /// Satellite 2 pin: capacity-derived aggregates count **live** tables
     /// only. Recycled buffers carry excess `Vec` capacity, and before PR 6's
     /// fix a capacity-based `lcht_cells` would have inflated under pooled
-    /// reuse, deflating the loading rate. After arbitrary churn the pooled
-    /// and pool-off shapes must report identical cell counts and a loading
-    /// rate that is exactly nodes / cells.
+    /// reuse, deflating the loading rate. After arbitrary churn the cell and
+    /// slot counts must stay within the geometry the model's node and edge
+    /// counts allow, and the loading rate must be exactly nodes / cells.
     #[test]
     fn loading_rate_reflects_live_tables_after_pooled_churn(
         ops in prop::collection::vec(op_strategy(32, 24), 1..100)
@@ -175,30 +252,19 @@ proptest! {
         let config = CuckooGraphConfig::default()
             .with_lcht_base_len(4)
             .with_scht_base_len(4);
-        let mut pooled = CuckooGraph::with_config(config.clone().with_table_pool(true));
-        let mut oracle = CuckooGraph::with_config(config.with_table_pool(false));
+        let mut pooled = CuckooGraph::with_config(config);
+        let mut model = Model::default();
         for op in &ops {
             let (insert, edges) = edges_of(op, 24);
             if insert {
                 pooled.insert_edges(&edges);
-                oracle.insert_edges(&edges);
+                model.insert(&edges);
             } else {
                 pooled.remove_edges(&edges);
-                oracle.remove_edges(&edges);
+                model.remove(&edges);
             }
         }
-        let ps = pooled.stats();
-        let os = oracle.stats();
-        prop_assert_eq!(ps.lcht_cells, os.lcht_cells, "pooled reuse inflated capacity");
-        prop_assert_eq!(ps.scht_slots, os.scht_slots, "pooled reuse inflated slots");
-        let rate = ps.lcht_loading_rate();
-        if ps.nodes > 0 {
-            prop_assert!(rate > 0.0 && rate <= 1.0, "loading rate out of range: {}", rate);
-            prop_assert!(
-                (rate - ps.nodes as f64 / ps.lcht_cells as f64).abs() < 1e-12,
-                "loading rate not nodes/cells"
-            );
-        }
+        check_shape_against_model(&pooled.stats(), &model, 1);
     }
 
     /// Arena compaction is a pure relayout: after random churn (which frees
@@ -257,41 +323,48 @@ fn weighted_pooled_matches_pool_off_oracle() {
     let config = CuckooGraphConfig::default()
         .with_lcht_base_len(4)
         .with_scht_base_len(4);
-    let mut pooled = WeightedCuckooGraph::with_config(config.clone().with_table_pool(true));
-    let mut oracle = WeightedCuckooGraph::with_config(config.with_table_pool(false));
+    let mut pooled = WeightedCuckooGraph::with_config(config);
+    let mut model: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
     let items: Vec<(NodeId, NodeId, u64)> = (0..6_000u64)
         .map(|i| (i % 40, (i * 7) % 90, i % 3 + 1))
         .collect();
     // Several grow/shrink cycles: tables retired by one round's contractions
     // must be reborn (from the pool) by the next round's expansions.
     for _ in 0..3 {
-        pooled.insert_weighted_edges(&items);
-        oracle.insert_weighted_edges(&items);
+        let mut created = 0;
+        for &(u, v, w) in &items {
+            let slot = model.entry((u, v)).or_insert_with(|| {
+                created += 1;
+                0
+            });
+            *slot += w;
+        }
+        assert_eq!(pooled.insert_weighted_edges(&items), created);
         for u in 0..40u64 {
-            for v in 0..90u64 {
-                if v % 2 == 0 {
-                    assert_eq!(
-                        pooled.delete_weighted(u, v, u64::MAX),
-                        oracle.delete_weighted(u, v, u64::MAX)
-                    );
-                }
+            for v in (0..90u64).step_by(2) {
+                model.remove(&(u, v));
+                assert_eq!(pooled.delete_weighted(u, v, u64::MAX), 0);
+                assert_eq!(pooled.weight(u, v), 0);
             }
         }
     }
-    assert_eq!(pooled.total_weight(), oracle.total_weight());
+    assert_eq!(pooled.total_weight(), model.values().sum::<u64>());
+    assert_eq!(pooled.distinct_edge_count(), model.len());
     for u in 0..40u64 {
         let mut a = pooled.weighted_successors(u);
-        let mut b = oracle.weighted_successors(u);
         a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "weighted successors of {u} diverge");
+        let want: Vec<(NodeId, u64)> = model
+            .range((u, 0)..=(u, NodeId::MAX))
+            .map(|(&(_, v), &w)| (v, w))
+            .collect();
+        assert_eq!(a, want, "weighted successors of {u} diverge");
     }
     let stats = pooled.stats();
     assert!(
         stats.pool_hits > 0,
         "churn this heavy must recycle tables: {stats:?}"
     );
-    assert_eq!(neutralize_pool(stats), neutralize_pool(oracle.stats()));
+    assert_eq!(stats.edges, model.len());
 }
 
 /// Deterministic end-to-end pin of the pool's purpose: a grow/shrink cycle

@@ -4,14 +4,16 @@
 //! mirror of a transformed cell's successor ids, maintained incrementally
 //! alongside the S-CHT chain. It must never change *what* a successor scan
 //! returns — only the memory layout it reads. So the central property is
-//! equivalence with the table-walk iterator that `with_scan_segments(false)`
-//! keeps live as the oracle, under randomized insert/delete churn that
-//! drives TRANSFORMATIONs, expansions, contractions, collapses, tombstone
-//! punches, and threshold compactions:
+//! equivalence with a `BTreeSet` model driven by the same operations *and*
+//! with the table walk production still runs on the same graph (edge export
+//! and the weighted scans read the chain's tables, never the segments),
+//! under randomized insert/delete churn that drives TRANSFORMATIONs,
+//! expansions, contractions, collapses, tombstone punches, and threshold
+//! compactions:
 //!
-//! 1. **Serial equivalence**: a segment-on graph and a segment-off graph fed
-//!    the identical operation sequence agree on every return value, every
-//!    successor set, and every structural stat outside the segment block.
+//! 1. **Serial equivalence**: every return value, every successor set and
+//!    every count agrees with the model, op by op, and the segment scan
+//!    agrees with the table walk of the same cell.
 //! 2. **Sharded and weighted equivalence**: the same holds through the
 //!    sharded fan-out and for the weighted graph's unweighted scan surface.
 //! 3. **Compaction round-trip**: punching tombstones past the waste
@@ -25,7 +27,7 @@ use cuckoograph::{
 };
 use graph_api::{DynamicGraph, MemoryFootprint, WeightedDynamicGraph};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 #[cfg(debug_assertions)]
@@ -40,7 +42,7 @@ const SOURCES: u64 = 10;
 const TARGETS: u64 = 400;
 
 /// One operation of the randomized churn workload, applied identically to
-/// the segment-on graph and the table-walk oracle.
+/// the graph and the set model.
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u64),
@@ -69,92 +71,146 @@ fn successors_sorted(g: &dyn DynamicGraph, u: NodeId) -> Vec<NodeId> {
     out
 }
 
+/// The edge batch an op acts on, and whether it inserts.
+fn edges_of(op: &Op) -> (bool, Vec<(NodeId, NodeId)>) {
+    match *op {
+        Op::Insert(u, v) => (true, vec![(u, v)]),
+        Op::Delete(u, v) => (false, vec![(u, v)]),
+        Op::Flood(u) => (true, (0..64).map(|i| (u, TARGETS + i)).collect()),
+        Op::Drain(u) => (
+            false,
+            (0..TARGETS + 64).step_by(2).map(|v| (u, v)).collect(),
+        ),
+    }
+}
+
 fn apply(g: &mut dyn DynamicGraph, op: &Op) -> usize {
+    let (insert, batch) = edges_of(op);
     match *op {
         Op::Insert(u, v) => g.insert_edge(u, v) as usize,
         Op::Delete(u, v) => g.delete_edge(u, v) as usize,
-        Op::Flood(u) => {
-            let batch: Vec<(NodeId, NodeId)> = (0..64).map(|i| (u, TARGETS + i)).collect();
-            g.insert_edges(&batch)
+        _ if insert => g.insert_edges(&batch),
+        _ => g.remove_edges(&batch),
+    }
+}
+
+/// The set model: exact edge set plus every source that ever received an
+/// insert (cells persist once created, so that is the node count).
+#[derive(Debug, Default)]
+struct Model {
+    edges: BTreeSet<(NodeId, NodeId)>,
+    sources: BTreeSet<NodeId>,
+}
+
+impl Model {
+    /// Applies `op`, returning what the graph's op must return: edges newly
+    /// created by an insert, edges actually present for a delete.
+    fn apply(&mut self, op: &Op) -> usize {
+        let (insert, batch) = edges_of(op);
+        if insert {
+            self.insert(&batch)
+        } else {
+            self.remove(&batch)
         }
-        Op::Drain(u) => {
-            let batch: Vec<(NodeId, NodeId)> =
-                (0..TARGETS + 64).step_by(2).map(|v| (u, v)).collect();
-            g.remove_edges(&batch)
+    }
+
+    fn insert(&mut self, batch: &[(NodeId, NodeId)]) -> usize {
+        let mut created = 0;
+        for &(u, v) in batch {
+            self.sources.insert(u);
+            created += usize::from(self.edges.insert((u, v)));
+        }
+        created
+    }
+
+    fn remove(&mut self, batch: &[(NodeId, NodeId)]) -> usize {
+        batch.iter().filter(|e| self.edges.remove(e)).count()
+    }
+
+    fn successors(&self, u: NodeId) -> Vec<NodeId> {
+        self.edges
+            .range((u, 0)..=(u, NodeId::MAX))
+            .map(|&(_, v)| v)
+            .collect()
+    }
+}
+
+/// Asserts the graph is indistinguishable from the model through the whole
+/// query surface.
+fn assert_matches_model(g: &dyn DynamicGraph, model: &Model) {
+    assert_eq!(g.edge_count(), model.edges.len());
+    assert_eq!(g.node_count(), model.sources.len());
+    for u in 0..SOURCES {
+        let want = model.successors(u);
+        assert_eq!(
+            successors_sorted(g, u),
+            want,
+            "successor sets diverged at {u}"
+        );
+        assert_eq!(g.out_degree(u), want.len(), "degree diverged at {u}");
+        for v in (0..TARGETS).step_by(41) {
+            assert_eq!(g.has_edge(u, v), model.edges.contains(&(u, v)));
         }
     }
 }
 
-/// Asserts the two graphs are indistinguishable through the whole query
-/// surface.
-fn assert_equivalent(on: &dyn DynamicGraph, off: &dyn DynamicGraph) {
-    assert_eq!(on.edge_count(), off.edge_count());
-    assert_eq!(on.node_count(), off.node_count());
-    for u in 0..SOURCES {
-        assert_eq!(
-            successors_sorted(on, u),
-            successors_sorted(off, u),
-            "successor sets diverged at {u}"
-        );
-        assert_eq!(
-            on.out_degree(u),
-            off.out_degree(u),
-            "degree diverged at {u}"
-        );
-        for v in (0..TARGETS).step_by(41) {
-            assert_eq!(on.has_edge(u, v), off.has_edge(u, v));
+/// The successors of `u` as the table walk reports them: edge export reads
+/// every cell's chain tables and never consults a scan segment.
+fn table_walk_sorted(g: &CuckooGraph, u: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    g.for_each_edge(|s, v| {
+        if s == u {
+            out.push(v);
         }
-    }
+    });
+    out.sort_unstable();
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// Serial graphs: segment-on ≡ segment-off through arbitrary churn, op
-    /// by op — every insert/delete return value agrees, and the scan surface
-    /// is checked at every step so a transiently corrupt segment (stale
-    /// tombstone, lost append, bad compaction slide) cannot hide behind a
-    /// later op that repairs the set.
+    /// Serial graph: segment scan ≡ model ≡ table walk through arbitrary
+    /// churn, op by op — every insert/delete return value agrees with the
+    /// model, and the scan surface is checked at every step so a transiently
+    /// corrupt segment (stale tombstone, lost append, bad compaction slide)
+    /// cannot hide behind a later op that repairs the set.
     #[test]
     fn serial_segments_match_table_walk_oracle(
         seed in 1u64..500,
         ops in prop::collection::vec(op_strategy(), 1..120),
     ) {
-        let mut on = CuckooGraph::with_config(CuckooGraphConfig::default().with_seed(seed));
-        let mut off = CuckooGraph::with_config(
-            CuckooGraphConfig::default().with_seed(seed).with_scan_segments(false),
-        );
+        let mut g = CuckooGraph::with_config(CuckooGraphConfig::default().with_seed(seed));
+        let mut model = Model::default();
         for (i, op) in ops.iter().enumerate() {
-            let a = apply(&mut on, op);
-            let b = apply(&mut off, op);
+            let a = apply(&mut g, op);
+            let b = model.apply(op);
             prop_assert_eq!(a, b, "op {} returned differently: {:?}", i, op);
             let (Op::Insert(u, _) | Op::Delete(u, _) | Op::Flood(u) | Op::Drain(u)) = *op;
+            let scan = successors_sorted(&g, u);
             prop_assert_eq!(
-                successors_sorted(&on, u),
-                successors_sorted(&off, u),
-                "scan diverged after op {} ({:?})",
+                &scan,
+                &model.successors(u),
+                "scan diverged from the model after op {} ({:?})",
+                i, op
+            );
+            prop_assert_eq!(
+                &scan,
+                &table_walk_sorted(&g, u),
+                "scan diverged from the table walk after op {} ({:?})",
                 i, op
             );
         }
-        assert_equivalent(&on, &off);
-
-        // Same structure underneath: everything outside the segment block is
-        // identical, and the oracle never touched the segment machinery.
-        let mut sa = on.stats();
-        let sb = off.stats();
-        prop_assert_eq!(sb.segment_tombstones, 0, "oracle punched tombstones");
-        prop_assert_eq!(sb.segment_compactions, 0, "oracle compacted segments");
-        prop_assert_eq!(sb.segment_bytes, 0, "oracle allocated segments");
-        sa.segment_tombstones = 0;
-        sa.segment_compactions = 0;
-        sa.segment_bytes = 0;
-        prop_assert_eq!(&sa, &sb, "non-segment stats diverged");
+        assert_matches_model(&g, &model);
+        let stats = g.stats();
+        prop_assert_eq!(stats.edges, model.edges.len());
+        prop_assert_eq!(stats.nodes, model.sources.len());
     }
 
     /// The sharded fan-out preserves the equivalence: per-shard engines own
     /// independent scan arenas, and the shared ingest surface (mutation
     /// windows, epoch-stamped retirement through the scan arena's private
-    /// pool) lands on the same graph as the oracle mode.
+    /// pool) lands on the model's graph too.
     #[test]
     fn sharded_segments_match_table_walk_oracle(
         seed in 1u64..500,
@@ -162,37 +218,31 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..80),
     ) {
         let config = CuckooGraphConfig::default().with_seed(seed);
-        let mut on = ShardedCuckooGraph::with_config(shards, config.clone());
-        let mut off = ShardedCuckooGraph::with_config(
-            shards,
-            config.with_scan_segments(false),
-        );
+        let mut g = ShardedCuckooGraph::with_config(shards, config);
+        let mut model = Model::default();
         for op in &ops {
-            prop_assert_eq!(apply(&mut on, op), apply(&mut off, op), "{:?}", op);
+            prop_assert_eq!(apply(&mut g, op), model.apply(op), "{:?}", op);
         }
         // Push one batch through the shared (epoch-windowed) surface too, so
         // segment retirement under a concurrent write section is exercised.
         let wave: Vec<(NodeId, NodeId)> = (0..900u64).map(|i| (i % SOURCES, i % TARGETS)).collect();
-        on.ingest_batch(&wave);
-        off.ingest_batch(&wave);
-        on.remove_batch(&wave[..600]);
-        off.remove_batch(&wave[..600]);
-        assert_equivalent(&on, &off);
+        prop_assert_eq!(g.ingest_batch(&wave), model.insert(&wave));
+        prop_assert_eq!(g.remove_batch(&wave[..600]), model.remove(&wave[..600]));
+        assert_matches_model(&g, &model);
 
-        let mut ours: Vec<(NodeId, NodeId)> = Vec::new();
-        on.for_each_edge(|u, v| ours.push((u, v)));
-        let mut theirs: Vec<(NodeId, NodeId)> = Vec::new();
-        off.for_each_edge(|u, v| theirs.push((u, v)));
-        ours.sort_unstable();
-        theirs.sort_unstable();
-        prop_assert_eq!(ours, theirs, "edge sets diverged");
-        prop_assert_eq!(off.stats().segment_bytes, 0);
+        // The table walk of the same shards exports exactly the model's
+        // edges, source by source what the segment scans returned.
+        let mut walked: Vec<(NodeId, NodeId)> = Vec::new();
+        g.for_each_edge(|u, v| walked.push((u, v)));
+        walked.sort_unstable();
+        let want: Vec<(NodeId, NodeId)> = model.edges.iter().copied().collect();
+        prop_assert_eq!(walked, want, "edge sets diverged");
     }
 
     /// The weighted graph's unweighted scan surface rides the segments while
     /// the weighted scan keeps the table walk (weights live only in payload
-    /// slots) — both must agree with the oracle, including after in-place
-    /// weight mutations, which the id-only segments are immune to.
+    /// slots) — both must agree with a weight-map model, including after
+    /// in-place weight mutations, which the id-only segments are immune to.
     #[test]
     fn weighted_segments_match_table_walk_oracle(
         seed in 1u64..500,
@@ -202,32 +252,40 @@ proptest! {
         ),
     ) {
         let config = CuckooGraphConfig::default().with_seed(seed);
-        let mut on = WeightedCuckooGraph::with_config(config.clone());
-        let mut off = WeightedCuckooGraph::with_config(config.with_scan_segments(false));
+        let mut g = WeightedCuckooGraph::with_config(config);
+        let mut weights: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
+        let mut model = Model::default();
         for &(u, v, kind, delta) in &ops {
             if kind == 0 {
-                prop_assert_eq!(
-                    on.delete_weighted(u, v, delta),
-                    off.delete_weighted(u, v, delta)
-                );
+                let left = weights.get(&(u, v)).map_or(0, |w| w.saturating_sub(delta));
+                if left == 0 {
+                    weights.remove(&(u, v));
+                    model.remove(&[(u, v)]);
+                } else {
+                    weights.insert((u, v), left);
+                }
+                prop_assert_eq!(g.delete_weighted(u, v, delta), left);
             } else {
-                prop_assert_eq!(
-                    on.insert_weighted(u, v, delta),
-                    off.insert_weighted(u, v, delta)
-                );
+                let w = weights.entry((u, v)).or_insert(0);
+                *w += delta;
+                model.insert(&[(u, v)]);
+                prop_assert_eq!(g.insert_weighted(u, v, delta), *w);
             }
         }
-        assert_equivalent(&on, &off);
+        assert_matches_model(&g, &model);
         for u in 0..SOURCES {
-            let mut a = Vec::new();
-            on.for_each_weighted_successor(u, &mut |v, w| a.push((v, w)));
-            a.sort_unstable();
-            let mut b = Vec::new();
-            off.for_each_weighted_successor(u, &mut |v, w| b.push((v, w)));
-            b.sort_unstable();
-            prop_assert_eq!(a, b, "weighted scan diverged at {}", u);
+            // The weighted scan is the table walk of the same cell.
+            let mut walked = Vec::new();
+            g.for_each_weighted_successor(u, &mut |v, w| walked.push((v, w)));
+            walked.sort_unstable();
+            let want: Vec<(NodeId, u64)> = weights
+                .range((u, 0)..=(u, NodeId::MAX))
+                .map(|(&(_, v), &w)| (v, w))
+                .collect();
+            prop_assert_eq!(&walked, &want, "weighted scan diverged at {}", u);
+            let ids: Vec<NodeId> = walked.iter().map(|&(v, _)| v).collect();
+            prop_assert_eq!(successors_sorted(&g, u), ids, "segment scan diverged at {}", u);
         }
-        prop_assert_eq!(off.stats().segment_bytes, 0);
     }
 }
 
@@ -366,21 +424,16 @@ fn readers_race_segment_compactions_without_phantoms() {
     );
     assert!(s.segment_tombstones > 0);
 
-    // Final state matches a serially driven oracle on the same batches.
-    let mut oracle =
-        ShardedCuckooGraph::with_config(2, CuckooGraphConfig::default().with_scan_segments(false));
-    oracle.insert_edges(&stable);
-    for _ in 0..6 {
-        oracle.insert_edges(&churn);
-        oracle.remove_edges(&churn);
+    // Final state is exactly the set the batches leave behind: every wave
+    // removes what it inserted, then the last insert stays.
+    let want: BTreeSet<(NodeId, NodeId)> = stable.iter().chain(&churn).copied().collect();
+    assert_eq!(g.edge_count(), want.len());
+    let mut ours: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+    g.for_each_edge(|u, v| assert!(ours.insert((u, v)), "edge ({u}, {v}) exported twice"));
+    assert_eq!(ours, want);
+    for u in (1..3u64).chain(1_000..1_003) {
+        let scan: BTreeSet<NodeId> = successors_sorted(&g, u).into_iter().collect();
+        let model: BTreeSet<NodeId> = want.range((u, 0)..=(u, NodeId::MAX)).map(|e| e.1).collect();
+        assert_eq!(scan, model, "segment scan of {u} diverged");
     }
-    oracle.insert_edges(&churn);
-    assert_eq!(g.edge_count(), oracle.edge_count());
-    let mut ours: Vec<(NodeId, NodeId)> = Vec::new();
-    g.for_each_edge(|u, v| ours.push((u, v)));
-    let mut theirs: Vec<(NodeId, NodeId)> = Vec::new();
-    oracle.for_each_edge(|u, v| theirs.push((u, v)));
-    ours.sort_unstable();
-    theirs.sort_unstable();
-    assert_eq!(ours, theirs);
 }
