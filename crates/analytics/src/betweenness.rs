@@ -1,6 +1,6 @@
 //! Betweenness Centrality via Brandes' algorithm (Figure 15).
 //!
-//! The paper runs the Brandes algorithm [56] on the subgraph extracted from
+//! The paper runs the Brandes algorithm \[56\] on the subgraph extracted from
 //! the top-degree nodes. Brandes computes, for every source, a BFS shortest-
 //! path DAG and accumulates pair dependencies on the way back — `O(|V|·|E|)`
 //! for unweighted graphs.

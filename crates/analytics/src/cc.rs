@@ -1,6 +1,6 @@
 //! Connected Components via Tarjan's algorithm (Figure 13).
 //!
-//! The paper runs "the Tarjan algorithm" [55] on subgraphs extracted from the
+//! The paper runs "the Tarjan algorithm" \[55\] on subgraphs extracted from the
 //! top-degree nodes and returns the components and their number. We implement
 //! Tarjan's strongly-connected-components algorithm iteratively (no recursion,
 //! so million-node subgraphs cannot overflow the stack) over whichever node

@@ -1,7 +1,7 @@
 //! Local Clustering Coefficient (Figure 16).
 //!
 //! Following the paper's methodology (and the LDBC Graphalytics definition it
-//! cites [57]): pre-compute the neighbourhood of every node (treating the
+//! cites \[57\]): pre-compute the neighbourhood of every node (treating the
 //! graph as undirected for the purpose of neighbourhood membership), then for
 //! each node count how many ordered pairs of its neighbours are connected by a
 //! stored directed edge, divided by `deg · (deg − 1)`.

@@ -5,11 +5,11 @@
 //!
 //! | Module | Task | Figure |
 //! |--------|------|--------|
-//! | [`bfs`] | Breadth-First Search from top-degree sources | Fig. 10 |
+//! | [`mod@bfs`] | Breadth-First Search from top-degree sources | Fig. 10 |
 //! | [`sssp`] | Single-Source Shortest Paths (Dijkstra) | Fig. 11 |
 //! | [`triangle`] | Triangle Counting around a node | Fig. 12 |
 //! | [`cc`] | Connected Components (Tarjan SCC) | Fig. 13 |
-//! | [`pagerank`] | PageRank, 100 iterations | Fig. 14 |
+//! | [`mod@pagerank`] | PageRank, 100 iterations | Fig. 14 |
 //! | [`betweenness`] | Betweenness Centrality (Brandes) | Fig. 15 |
 //! | [`lcc`] | Local Clustering Coefficient | Fig. 16 |
 //! | [`subgraph`] | top-degree node selection and subgraph extraction | § V-E methodology |

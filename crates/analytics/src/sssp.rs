@@ -3,7 +3,7 @@
 //! The paper runs Dijkstra from the 10 highest-total-degree nodes of the
 //! original graph over a subgraph of top-degree nodes. The datasets are
 //! unweighted, so every edge has length 1 (Dijkstra still runs with a binary
-//! heap exactly as cited [54]; it simply degenerates to a BFS frontier).
+//! heap exactly as cited \[54\]; it simply degenerates to a BFS frontier).
 
 use crate::subgraph::top_degree_nodes;
 use graph_api::{DynamicGraph, NodeId};

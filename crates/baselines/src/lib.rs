@@ -9,13 +9,13 @@
 //! | Module | Scheme | Paper reference |
 //! |--------|--------|-----------------|
 //! | [`adjacency_list`] | plain adjacency list | § I (the traditional baseline) |
-//! | [`livegraph`] | LiveGraph: vertex blocks + transactional edge log | [30] |
-//! | [`sortledton`] | Sortledton: adjacency index + sorted blocked sets | [34] |
-//! | [`wbi`] | Wind-Bell Index: adjacency matrix + hanging lists | [35] |
-//! | [`spruce`] | Spruce: split node index + adjacency edge storage | [36] |
-//! | [`pma`] | Packed Memory Array (substrate for PCSR) | [44] |
+//! | [`livegraph`] | LiveGraph: vertex blocks + transactional edge log | \[30\] |
+//! | [`sortledton`] | Sortledton: adjacency index + sorted blocked sets | \[34\] |
+//! | [`wbi`] | Wind-Bell Index: adjacency matrix + hanging lists | \[35\] |
+//! | [`spruce`] | Spruce: split node index + adjacency edge storage | \[36\] |
+//! | [`pma`] | Packed Memory Array (substrate for PCSR) | \[44\] |
 //! | [`csr`] | static Compressed Sparse Row | § I |
-//! | [`pcsr`] | PCSR: PMA-backed mutable CSR | [26] |
+//! | [`pcsr`] | PCSR: PMA-backed mutable CSR | \[26\] |
 //!
 //! These are clean-room re-implementations of the *storage data structures*
 //! (the part the paper measures); transactional/MVCC machinery that the

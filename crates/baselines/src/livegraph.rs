@@ -1,6 +1,6 @@
 //! LiveGraph-like baseline: Vertex Blocks + Transactional Edge Log (TEL).
 //!
-//! LiveGraph [30] stores the edges of each vertex in a *Transactional Edge
+//! LiveGraph \[30\] stores the edges of each vertex in a *Transactional Edge
 //! Log*: an append-only sequence of log entries (insertions and deletions,
 //! each stamped with a sequence number) held in a per-vertex block. Reads scan
 //! the log sequentially ("purely sequential adjacency list scans"); when a

@@ -1,7 +1,7 @@
 //! PCSR-like baseline: a mutable CSR whose neighbour storage is a Packed
 //! Memory Array.
 //!
-//! PCSR [26] replaces the static neighbour array of CSR with a PMA so edges
+//! PCSR \[26\] replaces the static neighbour array of CSR with a PMA so edges
 //! can be inserted and deleted without rebuilding the whole structure. Each
 //! edge is stored in the PMA as a single sorted 128-bit-conceptual key
 //! `(source, destination)` packed into 64 bits via a per-source interval; the

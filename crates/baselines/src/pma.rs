@@ -1,6 +1,6 @@
 //! Packed Memory Array (PMA) — the substrate PCSR and VCSR build on.
 //!
-//! A PMA [44] keeps a sorted sequence in an array with interspersed empty
+//! A PMA \[44\] keeps a sorted sequence in an array with interspersed empty
 //! slots so that insertions and deletions only shift a bounded neighbourhood.
 //! The array is divided into segments of `Θ(log n)` slots forming an implicit
 //! binary tree; when a segment's density leaves the allowed window the items

@@ -1,6 +1,6 @@
 //! Sortledton-like baseline: adjacency index + sorted, blocked adjacency sets.
 //!
-//! Sortledton [34] keeps a *vertex index* mapping each vertex to its
+//! Sortledton \[34\] keeps a *vertex index* mapping each vertex to its
 //! *adjacency set*, stored as a sequence of fixed-capacity sorted blocks
 //! (an unrolled sorted list). Small neighbourhoods live in a single block;
 //! larger ones are split so that insertions only shift within one block and

@@ -1,6 +1,6 @@
 //! Spruce-like baseline — the paper's most competitive comparison point.
 //!
-//! Spruce [36] splits the 8-byte vertex identifier into 4 + 2 + 2 bytes:
+//! Spruce \[36\] splits the 8-byte vertex identifier into 4 + 2 + 2 bytes:
 //! the top 4 bytes select an entry of a hash-based node index shared by all
 //! vertices with the same prefix, the middle 2 bytes select a bit in a bit
 //! vector that records which vertex groups exist, and the low 2 bytes identify

@@ -1,6 +1,6 @@
 //! Wind-Bell Index (WBI) baseline: adjacency matrix + hanging adjacency lists.
 //!
-//! WBI [35] hashes both endpoints of an edge into a `K × K` matrix of buckets;
+//! WBI \[35\] hashes both endpoints of an edge into a `K × K` matrix of buckets;
 //! each bucket carries a pointer to a "hanging" adjacency list that stores the
 //! edges mapped to it. To mitigate the skew caused by high-degree nodes, every
 //! edge has several candidate buckets (one per hash function) and insertion

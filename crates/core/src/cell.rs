@@ -7,14 +7,13 @@
 //! which then grows and shrinks per the TRANSFORMATION rule. A chain that
 //! shrinks back to the inline capacity collapses into small slots again.
 //!
-//! Since PR 6 the small slots are not a per-cell `Vec` but a fixed-size block
+//! The small slots are not a per-cell `Vec` but a fixed-size block
 //! inside the engine's [`SlotArena`]: the cell stores a `u32` block index and
 //! a length byte, and every small-slot operation takes the arena as a
 //! parameter. This removes one heap allocation + `Vec` header per low-degree
 //! node and packs neighbour slots densely for the successor-scan hot path
-//! (see [`crate::arena`]). The TRANSFORMATION paths likewise thread the
-//! scratch's [`TablePool`]: a collapse dismantles the chain (retiring its
-//! table buffers) and a transformation births its chain out of the pool.
+//! (see [`crate::arena`]). A transformation allocates its chain's first table
+//! at the base length; a collapse dismantles the chain and frees its tables.
 
 use crate::arena::{SlotArena, NO_BLOCK};
 use crate::chain::{ChainInsert, ChainParams, TableChain};
@@ -371,7 +370,7 @@ impl<P: Payload> Cell<P> {
 
     /// TRANSFORMATION: the inline slots merge into pointer slots — every
     /// stored payload moves out of the arena block (which is freed) into a
-    /// freshly enabled 1st S-CHT born from the scratch's table pool.
+    /// freshly enabled 1st S-CHT.
     /// Already-stored neighbours must never be lost, so they are placed with
     /// the forced path (which expands the chain as needed).
     #[allow(clippy::too_many_arguments)] // disjoint borrows of the engine's fields
@@ -385,7 +384,7 @@ impl<P: Payload> Cell<P> {
         placements: &mut u64,
         scratch: &mut RebuildScratch<P>,
     ) -> TableChain<P> {
-        let mut chain = TableChain::new_in(ctx.chain, Self::chain_seed(ctx, u), &mut scratch.pool);
+        let mut chain = TableChain::new(ctx.chain, Self::chain_seed(ctx, u));
         if block != NO_BLOCK {
             for slot in arena.slots_mut(block)[..len as usize].iter_mut() {
                 let existing = std::mem::replace(slot, P::filler());
@@ -576,15 +575,13 @@ impl<P: Payload> Cell<P> {
                 let mut displaced = Vec::new();
                 // Collapse back to inline slots once everything fits again —
                 // the end state of the reverse transformation. The chain is
-                // dismantled (items into the scratch, table buffers into the
-                // pool) and the survivors land in a fresh arena block.
+                // dismantled (items into the scratch, tables freed) and the
+                // survivors land in a fresh arena block.
                 if chain.count() <= ctx.small_slots {
                     debug_assert!(scratch.is_empty(), "scratch busy during collapse");
-                    // The survivors move back inline: the segment retires
-                    // (its buffers re-enter the pool, quarantined if a
-                    // concurrent window is open).
+                    // The survivors move back inline: the segment is freed.
                     scan.release(seg_id);
-                    chain.dismantle(&mut scratch.items, &mut scratch.pool);
+                    chain.dismantle(&mut scratch.items);
                     let n = scratch.items.len();
                     debug_assert!(n <= arena.block_size());
                     let block = if n == 0 {
@@ -919,10 +916,6 @@ mod tests {
         for v in 56..60u64 {
             assert!(cell.contains(kh(v), &arena));
         }
-        assert!(
-            s.pool_stats().retired > 0,
-            "collapse must retire the chain's tables"
-        );
     }
 
     #[test]

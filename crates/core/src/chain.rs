@@ -29,18 +29,12 @@
 //! may trigger one) runs through a caller-supplied [`RebuildScratch`]: tables
 //! drain into the scratch via the tag-word scan, the displaced items' hashes
 //! are cached in one pass, and the re-place loop pops `(item, hash)` pairs —
-//! so steady-state resizes allocate nothing (see [`crate::scratch`]).
-//!
-//! Since PR 6 the tables themselves recycle too: every table a transformation
-//! drops is drained and then **retired** into the scratch's embedded
-//! [`TablePool`], and every table a transformation creates is born out of that
-//! pool — so a steady-state merge or contraction reuses the previous shape's
-//! slot/tag buffers instead of round-tripping the allocator (see
-//! [`crate::pool`]).
+//! so the only allocations a resize makes are the new tables themselves,
+//! sized exactly to the new shape; the tables it replaces are drained and
+//! dropped (see [`crate::scratch`]).
 
 use crate::hash::KeyHash;
 use crate::payload::Payload;
-use crate::pool::TablePool;
 use crate::rng::KickRng;
 use crate::scht::CuckooTable;
 use crate::scratch::RebuildScratch;
@@ -95,16 +89,8 @@ pub struct TableChain<T> {
 }
 
 impl<T: Payload> TableChain<T> {
-    /// Creates a chain with a single table of length `params.base_len`,
-    /// allocating its buffers fresh (tests and cold paths; the engine paths
-    /// use [`TableChain::new_in`]).
+    /// Creates a chain with a single table of length `params.base_len`.
     pub fn new(params: ChainParams, seed: u64) -> Self {
-        Self::new_in(params, seed, &mut TablePool::new())
-    }
-
-    /// Creates a chain whose first table's buffers come from `pool` —
-    /// the birth path of every chain a TRANSFORMATION creates.
-    pub fn new_in(params: ChainParams, seed: u64, pool: &mut TablePool<T>) -> Self {
         let mut chain = Self {
             tables: Vec::with_capacity(params.r),
             round: 0,
@@ -115,15 +101,15 @@ impl<T: Payload> TableChain<T> {
             count: 0,
             capacity: 0,
         };
-        let t = chain.alloc_table(params.base_len.max(1), pool);
+        let t = chain.alloc_table(params.base_len.max(1));
         chain.tables.push(t);
         chain.refresh_capacity();
         chain
     }
 
-    fn alloc_table(&mut self, len: usize, pool: &mut TablePool<T>) -> CuckooTable<T> {
+    fn alloc_table(&mut self, len: usize) -> CuckooTable<T> {
         self.seed = crate::hash::splitmix64(self.seed ^ 0xa5a5_5a5a_dead_beef);
-        CuckooTable::new_in(len, self.params.cells_per_bucket, self.seed, pool)
+        CuckooTable::new(len, self.params.cells_per_bucket, self.seed)
     }
 
     /// Re-derives the cached capacity after a shape change (O(R), only run
@@ -294,15 +280,13 @@ impl<T: Payload> TableChain<T> {
     }
 
     /// Tears the chain down: drains every stored item into `out` (tag-word
-    /// scans) and retires every table's buffers into `pool`. Afterwards the
-    /// chain holds zero tables and zero capacity — callers drop it right away
-    /// (the cell collapse path, where the items become the cell's inline
-    /// storage and the buffers seed the next TRANSFORMATION's tables).
-    pub fn dismantle(&mut self, out: &mut Vec<T>, pool: &mut TablePool<T>) {
+    /// scans) and frees every table. Afterwards the chain holds zero tables
+    /// and zero capacity — callers drop it right away (the cell collapse
+    /// path, where the items become the cell's inline storage).
+    pub fn dismantle(&mut self, out: &mut Vec<T>) {
         out.reserve(self.count);
         for mut t in self.tables.drain(..) {
             t.drain_into(out);
-            t.retire(pool);
         }
         self.round = 0;
         self.count = 0;
@@ -350,24 +334,22 @@ impl<T: Payload> TableChain<T> {
         self.expansions += 1;
         if self.tables.len() < self.params.r {
             let len = self.extra_len();
-            let t = self.alloc_table(len, &mut scratch.pool);
+            let t = self.alloc_table(len);
             self.tables.push(t);
             self.refresh_capacity();
             return Vec::new();
         }
 
-        // Merge: gather everything, retire the old tables' buffers, rebuild as
-        // round k+1 with two tables born out of the pool (the just-retired
-        // buffers, in steady state).
+        // Merge: gather everything, free the old tables, rebuild as round
+        // k+1 with two fresh tables.
         debug_assert!(scratch.is_empty(), "scratch carried items into a merge");
         for mut t in self.tables.drain(..) {
             t.drain_into(&mut scratch.items);
-            t.retire(&mut scratch.pool);
         }
         self.count = 0;
         self.round += 1;
-        let first = self.alloc_table(self.first_len(), &mut scratch.pool);
-        let second = self.alloc_table(self.extra_len(), &mut scratch.pool);
+        let first = self.alloc_table(self.first_len());
+        let second = self.alloc_table(self.extra_len());
         self.tables.push(first);
         self.tables.push(second);
         self.refresh_capacity();
@@ -412,7 +394,6 @@ impl<T: Payload> TableChain<T> {
             // re-enters the "k, no extras" row of Table II; the round value is
             // unchanged because the first table keeps its length.
             removed.drain_into(&mut scratch.items);
-            removed.retire(&mut scratch.pool);
         } else {
             // Single table: compress towards half of the current length, but
             // never below the base geometry. (`base > old_len` cannot arise
@@ -428,12 +409,9 @@ impl<T: Payload> TableChain<T> {
             if self.round > 0 {
                 self.round -= 1;
             }
-            let mut old = self.tables.pop().expect("len == 1");
-            old.drain_into(&mut scratch.items);
-            old.retire(&mut scratch.pool);
+            self.tables[0].drain_into(&mut scratch.items);
             self.count = 0;
-            let fresh = self.alloc_table(new_len, &mut scratch.pool);
-            self.tables.push(fresh);
+            self.tables[0] = self.alloc_table(new_len);
             self.refresh_capacity();
         }
         self.replace_from_scratch(rng, placements, scratch)
@@ -845,47 +823,14 @@ mod tests {
         for v in 0..500u64 {
             c.insert(v, kh(v), &mut rng, &mut p, &mut s);
         }
-        let tables = c.table_count() as u64;
-        let retired_before = s.pool_stats().retired;
         let mut items = Vec::new();
-        let mut pool = TablePool::new();
-        c.dismantle(&mut items, &mut pool);
+        c.dismantle(&mut items);
         items.sort_unstable();
         assert_eq!(items, (0..500u64).collect::<Vec<_>>());
         assert_eq!(c.table_count(), 0);
         assert_eq!(c.capacity(), 0);
+        assert_eq!(c.memory_bytes(), 0, "every table freed");
         assert!(c.is_empty());
-        assert_eq!(pool.stats().retired, tables, "every table retired");
-        assert!(pool.retained_bytes() > 0, "buffers kept for recycling");
-        assert_eq!(s.pool_stats().retired, retired_before);
-        c.assert_cached_consistent();
-    }
-
-    /// Steady-state resize churn must recycle table buffers through the
-    /// scratch pool: after the warm-up misses, expand/contract cycles are
-    /// served from retired buffers.
-    #[test]
-    fn transformations_recycle_buffers_through_the_pool() {
-        let mut c = chain();
-        let mut rng = KickRng::new(61);
-        let mut p = 0;
-        let mut s = scratch();
-        for v in 0..2_000u64 {
-            c.insert(v, kh(v), &mut rng, &mut p, &mut s);
-        }
-        for v in 0..1_990u64 {
-            c.remove(kh(v));
-            for item in c.maybe_contract(&mut rng, &mut p, &mut s) {
-                c.insert_forced(item, &mut rng, &mut p, &mut s);
-            }
-        }
-        let stats = s.pool_stats();
-        assert!(c.expansions() > 0 && c.contractions() > 0);
-        assert!(stats.retired > 0, "transformations never retired a table");
-        assert!(
-            stats.hits > stats.misses,
-            "steady-state churn mostly missed the pool ({stats:?})"
-        );
         c.assert_cached_consistent();
     }
 

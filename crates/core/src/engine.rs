@@ -51,8 +51,7 @@ pub struct Engine<P> {
     /// Engine-level rebuild buffers shared by every S-CHT chain: expansions,
     /// contractions and merges drain into (and re-place out of) this scratch
     /// instead of allocating per event. The L-CHT chain has its own cell
-    /// scratch inside [`NodeTable`]. Its embedded [`crate::pool::TablePool`]
-    /// recycles the S-CHT tables those events drop.
+    /// scratch inside [`NodeTable`].
     scratch: RebuildScratch<P>,
     /// Reusable buffer for S-DL drains on expansion events.
     dl_buf: Vec<P>,
@@ -248,11 +247,6 @@ impl<P: Payload> Engine<P> {
     /// Number of distinct source nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.node_count()
-    }
-
-    /// Every known source node.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.nodes.nodes()
     }
 
     /// Calls `f` for every known source node without allocating.
@@ -644,13 +638,6 @@ impl<P: Payload> Engine<P> {
         self.s_dl.for_each_of(u, |p| f(p.key()));
     }
 
-    /// Out-neighbours of `u`.
-    pub fn successors(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.out_degree(u));
-        self.for_each_successor_id(u, |v| out.push(v));
-        out
-    }
-
     /// Calls `f` for every stored `(u, payload)` pair.
     pub fn for_each_edge(&self, mut f: impl FnMut(NodeId, &P)) {
         self.nodes.for_each(|cell| {
@@ -683,39 +670,13 @@ impl<P: Payload> Engine<P> {
     }
 
     /// Bytes currently held by the structure, including the payload arena and
-    /// any table buffers retained by the engine-level pool (the node table
-    /// counts its own pool's retained bytes itself) — pooled capacity is never
-    /// hidden from the memory experiments.
+    /// the scan segments.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.nodes.memory_bytes()
             + self.s_dl.memory_bytes()
             + self.arena.memory_bytes()
-            + self.scratch.pool_retained_bytes()
             + self.scan.memory_bytes()
-    }
-
-    /// Opens a concurrent mutation window at `epoch`: both table pools (the
-    /// engine-level scratch and the node table's own level) defer retirements
-    /// behind epoch stamps until [`Engine::end_concurrent_write`] proves them
-    /// unreachable. Called by [`crate::shard::Sharded`] around each write
-    /// section; serial engines never enter this mode.
-    pub fn begin_concurrent_write(&mut self, epoch: u64) {
-        self.scratch.begin_deferred_retires(epoch);
-        self.nodes.begin_deferred_retires(epoch);
-        self.scan.begin_deferred_retires(epoch);
-    }
-
-    /// Closes the concurrent mutation window, releasing quarantined table
-    /// buffers whose epoch stamp is below `safe_epoch` (the read
-    /// coordinator's reclaim bound). Returns how many buffers were released.
-    pub fn end_concurrent_write(&mut self, safe_epoch: u64) -> usize {
-        // The scan arena's pool quarantines segment buffers the same way, but
-        // its counts stay private to the arena (reported via `segment_bytes`,
-        // not the pool_* stats block) so the table-pool accounting invariants
-        // the shard tests pin remain exact.
-        self.scan.end_deferred_retires(safe_epoch);
-        self.scratch.end_deferred_retires(safe_epoch) + self.nodes.end_deferred_retires(safe_epoch)
     }
 
     /// Snapshot of the instrumentation counters and structural shape.
@@ -727,8 +688,6 @@ impl<P: Payload> Engine<P> {
             scht_tables += cell.scht_tables();
             scht_slots += cell.scht_slots();
         });
-        let mut pool = self.scratch.pool_stats();
-        pool.merge(&self.nodes.pool_stats());
         StructureStats {
             nodes: self.node_count(),
             edges: self.edges,
@@ -745,13 +704,9 @@ impl<P: Payload> Engine<P> {
             insertion_failures: counters.failures + self.scht.failures,
             expansions: self.nodes.expansions() + self.scht.expansions,
             contractions: self.nodes.contractions() + self.scht.contractions,
-            pool_hits: pool.hits,
-            pool_misses: pool.misses,
-            pool_retired: pool.retired,
-            pool_deferred: pool.deferred,
-            pool_reclaimed: pool.reclaimed,
-            pool_deferred_pending: pool.deferred_pending,
-            pool_retained_bytes: pool.retained_bytes,
+            pool_hits: 0,
+            pool_misses: 0,
+            pool_retained_bytes: 0,
             // Reader-side counters live in the shard layer's coordinators; a
             // bare engine has no readers to count.
             reader_retries: 0,
@@ -784,6 +739,13 @@ mod tests {
         Engine::new(CuckooGraphConfig::default(), 6)
     }
 
+    fn sorted_successors(e: &Engine<NodeId>, u: NodeId) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        e.for_each_successor_id(u, |v| out.push(v));
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn insert_query_remove_roundtrip() {
         let mut e = engine();
@@ -808,9 +770,7 @@ mod tests {
             e.insert_new(7, v);
         }
         assert_eq!(e.out_degree(7), 1_000);
-        let mut s = e.successors(7);
-        s.sort_unstable();
-        assert_eq!(s, (0..1_000u64).collect::<Vec<_>>());
+        assert_eq!(sorted_successors(&e, 7), (0..1_000u64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -944,10 +904,8 @@ mod tests {
         assert_eq!(batched.edge_count(), looped.edge_count());
         assert_eq!(batched.node_count(), looped.node_count());
         for u in 0..40u64 {
-            let mut a = batched.successors(u);
-            let mut b = looped.successors(u);
-            a.sort_unstable();
-            b.sort_unstable();
+            let a = sorted_successors(&batched, u);
+            let b = sorted_successors(&looped, u);
             assert_eq!(a, b, "successors of {u} differ");
         }
     }
@@ -983,10 +941,8 @@ mod tests {
         assert_eq!(removed, expected);
         assert_eq!(batched.edge_count(), looped.edge_count());
         for u in 0..30u64 {
-            let mut a = batched.successors(u);
-            let mut b = looped.successors(u);
-            a.sort_unstable();
-            b.sort_unstable();
+            let a = sorted_successors(&batched, u);
+            let b = sorted_successors(&looped, u);
             assert_eq!(a, b, "successors of {u} differ after batch removal");
         }
     }
@@ -1067,8 +1023,7 @@ mod tests {
             assert_eq!(e.remove(2, v), Some(v));
             model.remove(&v);
         }
-        let mut a = e.successors(2);
-        a.sort_unstable();
+        let a = sorted_successors(&e, 2);
         let want: Vec<NodeId> = model.into_iter().collect();
         assert_eq!(a, want, "segment scan diverged from the set model");
         let mut walk = Vec::new();

@@ -1,49 +1,38 @@
-//! Intra-shard read/write coordination: seqlock-validated reader pins plus
-//! epoch-based reclamation bounds.
+//! Intra-shard read/write coordination: a drained reader/writer handshake.
 //!
 //! A [`ReadCoordinator`] lets queries proceed on a shard **without taking the
 //! writer's ownership**: readers announce themselves in a lock-free slot
-//! registry and validate a seqlock-style sequence word around their scan,
-//! while the shard's writer opens short exclusive *mutation windows* (one per
+//! registry and check a seqlock-style sequence word before their scan, while
+//! the shard's writer opens short exclusive *mutation windows* (one per
 //! ingest chunk) that first drain the announced readers. The tag-word scans
-//! inside the window therefore never race with a mutation — a reader that
-//! loses the race at entry retries (counted in
-//! [`ReadCounters::reader_retries`]) instead of traversing torn state.
+//! therefore never race with a mutation — a reader that loses the race at
+//! entry retries (counted in [`ReadCounters::reader_retries`]) instead of
+//! traversing torn state.
 //!
 //! ## The protocol
 //!
 //! The coordinator keeps one sequence word (`seq`: even = quiescent, odd =
-//! mutation window open), one generation counter (`epoch`, advanced at the end
-//! of every window), and [`MAX_READERS`] per-reader activity words.
+//! mutation window open) and [`MAX_READERS`] per-reader activity words.
 //!
-//! *Reader* (see [`ReadCoordinator::pin`]): store `(epoch << 1) | ACTIVE` into
-//! your slot, then load `seq`. Both accesses are `SeqCst`, so they cannot be
-//! reordered against the writer's `seq`-bump/slot-scan pair (the classic
-//! Dekker store-then-load handshake). If `seq` is even the pin holds: any
-//! writer arriving later sees the slot and waits. If `seq` is odd a window is
-//! open — withdraw the slot, count a retry, and spin-wait for the window to
-//! close.
+//! *Reader* (see [`ReadCoordinator::pin`]): store `ACTIVE` into your slot,
+//! then load `seq`. Both accesses are `SeqCst`, so they cannot be reordered
+//! against the writer's `seq`-bump/slot-scan pair (the classic Dekker
+//! store-then-load handshake). If `seq` is even the pin holds: any writer
+//! arriving later sees the slot and waits. If `seq` is odd a window is open —
+//! withdraw the slot, count a retry, and spin-wait for the window to close.
 //!
 //! *Writer* (see [`ReadCoordinator::begin_write`]): flip `seq` to odd
-//! (`SeqCst`), then scan every slot until no `ACTIVE` bit remains. After the
-//! drain the writer holds exclusivity: readers pinned earlier have finished,
-//! and new pins wait on the odd `seq`. [`ReadCoordinator::end_write`] advances
-//! `epoch` and flips `seq` back to even.
+//! (`SeqCst`), then scan every slot until none is `ACTIVE`. After the drain
+//! the writer holds exclusivity: readers pinned earlier have finished, and
+//! new pins wait on the odd `seq`. [`ReadCoordinator::end_write`] flips `seq`
+//! back to even.
 //!
-//! ## Epoch reclamation
+//! ## Why nothing is reclaimed later
 //!
-//! Table buffers retired by TRANSFORMATION events *inside* a window (via
-//! [`crate::pool::TablePool`]) are stamped with the window's epoch and
-//! quarantined instead of being recycled. They may only re-enter circulation
-//! once every reader that could conceivably hold a reference has advanced
-//! past that epoch: [`ReadCoordinator::reclaim_bound`] computes the bound as
-//! `min(min-active-reader-epoch, epoch + 1)`. Under the drain protocol the
-//! registry is empty inside the window, so the bound resolves to `epoch + 1`
-//! and the window's own retirements clear immediately after it — but the
-//! bound is computed from the registry, not assumed, so a future reader that
-//! genuinely overlaps a window (e.g. a long-running snapshot scan pinned
-//! across windows) keeps its table generation alive for exactly as long as
-//! needed.
+//! No reader is pinned while a window is open, so memory a window replaces
+//! (a table dropped by a TRANSFORMATION, a grown scan segment, a slot-arena
+//! reallocation) has no reader left to outlive it and is freed on the spot.
+//! `tests/concurrent_read_model.rs` pins the exclusion this rests on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -53,8 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`crate::shard::ShardReadView`] holds one slot per shard).
 pub const MAX_READERS: usize = 64;
 
-/// Low bit of a reader slot word: set while the reader is inside a pinned
-/// read. The remaining bits carry the epoch the reader observed at pin time.
+/// A reader slot word while the reader is inside a pinned read (`0` idle).
 const ACTIVE: u64 = 1;
 
 /// One reader's activity word, padded to its own cache line so reader pins on
@@ -71,21 +59,19 @@ pub struct ReadCounters {
     pub reader_retries: u64,
     /// Successful reader pins (each pinned read counts once).
     pub read_pins: u64,
-    /// Mutation windows closed (each advances the reclamation epoch).
+    /// Mutation windows closed.
     pub epoch_advances: u64,
 }
 
-/// Reader registry + seqlock word + epoch clock for one shard. See the module
-/// docs for the protocol.
+/// Reader registry + seqlock word for one shard. See the module docs for the
+/// protocol.
 #[derive(Debug)]
 pub struct ReadCoordinator {
     /// Even = quiescent, odd = a mutation window is open.
     seq: AtomicU64,
-    /// Generation counter; advanced by every [`ReadCoordinator::end_write`].
-    epoch: AtomicU64,
     /// Ownership bitmap for `slots` (bit i set = slot i registered).
     slot_bitmap: AtomicU64,
-    /// Per-reader activity words: `0` idle, `(epoch << 1) | ACTIVE` pinned.
+    /// Per-reader activity words: `0` idle, `ACTIVE` pinned.
     slots: [ReaderSlot; MAX_READERS],
     reader_retries: AtomicU64,
     read_pins: AtomicU64,
@@ -99,11 +85,10 @@ impl Default for ReadCoordinator {
 }
 
 impl ReadCoordinator {
-    /// A quiescent coordinator at epoch 0 with an empty registry.
+    /// A quiescent coordinator with an empty registry.
     pub fn new() -> Self {
         Self {
             seq: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
             slot_bitmap: AtomicU64::new(0),
             slots: std::array::from_fn(|_| ReaderSlot(AtomicU64::new(0))),
             reader_retries: AtomicU64::new(0),
@@ -138,7 +123,7 @@ impl ReadCoordinator {
     /// [`ReadCoordinator::acquire_slot`]. The slot must be unpinned.
     pub fn release_slot(&self, idx: usize) {
         debug_assert_eq!(
-            self.slots[idx].0.load(Ordering::SeqCst) & ACTIVE,
+            self.slots[idx].0.load(Ordering::SeqCst),
             0,
             "released a slot that is still pinned"
         );
@@ -151,10 +136,7 @@ impl ReadCoordinator {
     pub fn pin(&self, idx: usize) {
         let mut backoff = Backoff::new();
         loop {
-            let epoch = self.epoch.load(Ordering::SeqCst);
-            self.slots[idx]
-                .0
-                .store((epoch << 1) | ACTIVE, Ordering::SeqCst);
+            self.slots[idx].0.store(ACTIVE, Ordering::SeqCst);
             if self.seq.load(Ordering::SeqCst) & 1 == 0 {
                 self.read_pins.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -179,57 +161,25 @@ impl ReadCoordinator {
     }
 
     /// Opens a mutation window: flips the sequence word to odd and drains
-    /// every advertised reader. Returns the epoch that retirements inside
-    /// this window must be stamped with. Callers serialize windows externally
-    /// (the shard's write gate); nesting is a protocol violation.
-    pub fn begin_write(&self) -> u64 {
+    /// every advertised reader. Callers serialize windows externally (the
+    /// shard's write gate); nesting is a protocol violation.
+    pub fn begin_write(&self) {
         let prev = self.seq.fetch_add(1, Ordering::SeqCst);
         debug_assert_eq!(prev & 1, 0, "nested mutation window");
         let mut backoff = Backoff::new();
         for slot in &self.slots {
-            while slot.0.load(Ordering::SeqCst) & ACTIVE != 0 {
+            while slot.0.load(Ordering::SeqCst) != 0 {
                 backoff.snooze();
             }
         }
-        self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Closes the current mutation window: advances the epoch, then flips the
-    /// sequence word back to even (in that order, so a reader that pins right
-    /// after the flip can only advertise the new epoch or an older one —
-    /// never a future one).
+    /// Closes the current mutation window: flips the sequence word back to
+    /// even, releasing the readers waiting in [`ReadCoordinator::pin`].
     pub fn end_write(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
         self.epoch_advances.fetch_add(1, Ordering::Relaxed);
         let prev = self.seq.fetch_add(1, Ordering::SeqCst);
         debug_assert_eq!(prev & 1, 1, "end_write without begin_write");
-    }
-
-    /// Smallest epoch advertised by any currently pinned reader
-    /// (`u64::MAX` when the registry is idle).
-    pub fn min_active_epoch(&self) -> u64 {
-        let mut min = u64::MAX;
-        for slot in &self.slots {
-            let word = slot.0.load(Ordering::SeqCst);
-            if word & ACTIVE != 0 {
-                min = min.min(word >> 1);
-            }
-        }
-        min
-    }
-
-    /// Reclamation bound: buffers stamped with an epoch **strictly below**
-    /// this value can no longer be referenced by any reader. Inside a drained
-    /// mutation window this resolves to `epoch + 1` (the window's own
-    /// retirements clear); a pinned reader holds it down to its pin epoch.
-    pub fn reclaim_bound(&self) -> u64 {
-        self.min_active_epoch()
-            .min(self.epoch.load(Ordering::SeqCst) + 1)
-    }
-
-    /// The current reclamation epoch.
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
     }
 
     /// Snapshot of the activity counters (concurrently readable).
@@ -264,25 +214,6 @@ impl Backoff {
     }
 }
 
-/// Epoch hooks a shard engine exposes so the concurrent write path can stamp
-/// retirements and reclaim quarantined table buffers. The no-op defaults let
-/// engines without deferred reclamation (e.g. baseline schemes wrapped in
-/// [`crate::Sharded`]) participate in the write protocol unchanged.
-pub trait ConcurrentEngine {
-    /// Enters a mutation window: table buffers retired until the matching
-    /// [`ConcurrentEngine::end_concurrent_write`] are stamped with `epoch`
-    /// and quarantined instead of being recycled.
-    fn begin_concurrent_write(&mut self, _epoch: u64) {}
-
-    /// Leaves the mutation window: releases every quarantined buffer stamped
-    /// strictly below `safe_epoch` back into circulation and returns how many
-    /// were released. Buffers a straggling reader could still reference
-    /// (stamp ≥ bound) stay quarantined for a later window.
-    fn end_concurrent_write(&mut self, _safe_epoch: u64) -> usize {
-        0
-    }
-}
-
 /// Compile-time proof the coordinator crosses thread boundaries.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
@@ -306,7 +237,6 @@ mod tests {
         assert_eq!(again, a, "freed slot is reused first");
         c.release_slot(b);
         c.release_slot(again);
-        assert_eq!(c.min_active_epoch(), u64::MAX);
     }
 
     #[test]
@@ -323,26 +253,16 @@ mod tests {
     }
 
     #[test]
-    fn pins_advertise_the_epoch_and_count() {
+    fn pins_and_closed_windows_are_counted() {
         let c = ReadCoordinator::new();
         let idx = c.acquire_slot();
         c.pin(idx);
-        assert_eq!(c.min_active_epoch(), 0);
         c.unpin(idx);
-
-        // Advance the epoch through two writer windows.
-        let e = c.begin_write();
-        assert_eq!(e, 0);
-        c.end_write();
-        let e = c.begin_write();
-        assert_eq!(e, 1);
-        c.end_write();
-
+        for _ in 0..2 {
+            c.begin_write();
+            c.end_write();
+        }
         c.pin(idx);
-        assert_eq!(c.min_active_epoch(), 2);
-        // A pinned reader caps the reclaim bound at its own epoch even after
-        // later windows would otherwise raise it.
-        assert_eq!(c.reclaim_bound(), 2);
         c.unpin(idx);
         c.release_slot(idx);
 
@@ -350,16 +270,6 @@ mod tests {
         assert_eq!(counters.read_pins, 2);
         assert_eq!(counters.epoch_advances, 2);
         assert_eq!(counters.reader_retries, 0);
-    }
-
-    #[test]
-    fn reclaim_bound_inside_a_drained_window_clears_the_window_epoch() {
-        let c = ReadCoordinator::new();
-        let epoch = c.begin_write();
-        // Registry drained: the bound passes the window's own stamp.
-        assert!(c.reclaim_bound() > epoch);
-        assert_eq!(c.reclaim_bound(), epoch + 1);
-        c.end_write();
     }
 
     #[test]
@@ -384,7 +294,7 @@ mod tests {
         });
         assert!(entered.load(Ordering::SeqCst));
         c.release_slot(idx);
-        assert_eq!(c.current_epoch(), 1);
+        assert_eq!(c.counters().epoch_advances, 1);
     }
 
     #[test]

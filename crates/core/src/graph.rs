@@ -79,16 +79,6 @@ impl Default for CuckooGraph {
     }
 }
 
-impl crate::epoch::ConcurrentEngine for CuckooGraph {
-    fn begin_concurrent_write(&mut self, epoch: u64) {
-        self.engine.begin_concurrent_write(epoch);
-    }
-
-    fn end_concurrent_write(&mut self, safe_epoch: u64) -> usize {
-        self.engine.end_concurrent_write(safe_epoch)
-    }
-}
-
 impl MemoryFootprint for CuckooGraph {
     fn memory_bytes(&self) -> usize {
         self.engine.memory_bytes()
@@ -132,10 +122,6 @@ impl DynamicGraph for CuckooGraph {
         self.engine.remove(u, v).is_some()
     }
 
-    fn successors(&self, u: NodeId) -> Vec<NodeId> {
-        self.engine.successors(u)
-    }
-
     fn for_each_successor(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
         // Transformed cells walk their contiguous scan segment (one dense,
         // append-ordered run) instead of the chain's scattered buckets.
@@ -165,10 +151,6 @@ impl DynamicGraph for CuckooGraph {
 
     fn node_count(&self) -> usize {
         self.engine.node_count()
-    }
-
-    fn nodes(&self) -> Vec<NodeId> {
-        self.engine.nodes()
     }
 
     fn scheme(&self) -> GraphScheme {

@@ -31,13 +31,13 @@ fn mix(mut a: u32, mut b: u32, mut c: u32) -> (u32, u32, u32) {
 /// 32-bit Bob Hash over an arbitrary byte slice with a seed (`initval`).
 ///
 /// Follows the structure of `lookup2`: consume 12 bytes per round through
-/// [`mix`], then fold the trailing bytes and the length into the final round.
+/// `mix`, then fold the trailing bytes and the length into the final round.
 pub fn bob_hash(bytes: &[u8], seed: u32) -> u32 {
     bob_hash2(bytes, seed).1
 }
 
 /// The two-lane variant of [`bob_hash`]: one `lookup2` pass whose final
-/// [`mix`] yields *two* well-mixed 32-bit words (`b` and `c`) instead of one.
+/// `mix` yields *two* well-mixed 32-bit words (`b` and `c`) instead of one.
 /// This is the "single Bob-hash pass producing both lanes" that backs
 /// [`KeyHash`] — every cuckoo table then derives its bucket indices from the
 /// memoized lanes with a cheap per-table finalizer instead of re-running the
@@ -123,8 +123,8 @@ const KEYHASH_SEED: u32 = 0x51ed_270b;
 /// The contract: a `KeyHash` is a pure function of the key (the lanes come
 /// from one [`bob_hash2`] pass with a fixed base seed), so it can be computed
 /// at any layer and reused by every table below. Each table turns the lanes
-/// into its two bucket indices via [`HashPair::bucket_of`] (lane ⊕ per-table
-/// seed, then [`fmix32`]) — a chain of `R` tables therefore costs one Bob pass
+/// into its two bucket indices via [`HashPair::bucket_of`] (multiply-shift by
+/// a per-table odd multiplier) — a chain of `R` tables therefore costs one Bob pass
 /// per operation instead of `2·R`. The 7-bit [`KeyHash::fingerprint`] is what
 /// the tagged buckets compare before ever touching a payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

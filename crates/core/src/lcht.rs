@@ -11,7 +11,6 @@ use crate::chain::{ChainInsert, ChainParams, TableChain};
 use crate::denylist::LargeDenylist;
 use crate::hash::KeyHash;
 use crate::payload::Payload;
-use crate::pool::PoolStats;
 use crate::rng::KickRng;
 use crate::scratch::RebuildScratch;
 use graph_api::NodeId;
@@ -61,13 +60,12 @@ impl<P: Payload> NodeTable<P> {
         denylist_capacity: usize,
         use_denylist: bool,
     ) -> Self {
-        let mut scratch = RebuildScratch::new();
         Self {
-            chain: TableChain::new_in(params, seed, &mut scratch.pool),
+            chain: TableChain::new(params, seed),
             denylist: LargeDenylist::new(denylist_capacity),
             use_denylist,
             counters: NodeTableCounters::default(),
-            scratch,
+            scratch: RebuildScratch::new(),
             park_buf: Vec::new(),
         }
     }
@@ -280,41 +278,13 @@ impl<P: Payload> NodeTable<P> {
         }
     }
 
-    /// Every stored node id.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.node_count());
-        self.for_each(|c| out.push(c.node()));
-        out
-    }
-
-    /// Bytes held by the L-CHT chain, its cells' Part 2, the L-DL buffer, and
-    /// the idle table buffers pooled by this level's scratch (pooled capacity
-    /// is never hidden from memory reporting).
+    /// Bytes held by the L-CHT chain, its cells' Part 2 and the L-DL buffer.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.chain.memory_bytes()
-            + self.denylist.buffer_bytes()
-            + self.scratch.pool_retained_bytes();
+        let mut bytes = self.chain.memory_bytes() + self.denylist.buffer_bytes();
         for cell in self.denylist.iter() {
             bytes += cell.part2_bytes();
         }
         bytes
-    }
-
-    /// Counter snapshot of this level's table pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.scratch.pool_stats()
-    }
-
-    /// Puts this level's pool into epoch-stamped deferred-retire mode for a
-    /// concurrent mutation window (see [`crate::epoch`]).
-    pub(crate) fn begin_deferred_retires(&mut self, epoch: u64) {
-        self.scratch.begin_deferred_retires(epoch);
-    }
-
-    /// Closes the deferred-retire window at `safe_epoch`; returns how many
-    /// quarantined buffers were released.
-    pub(crate) fn end_deferred_retires(&mut self, safe_epoch: u64) -> usize {
-        self.scratch.end_deferred_retires(safe_epoch)
     }
 
     /// Applies the reverse-transformation rule to the L-CHT chain (used after
@@ -494,7 +464,8 @@ mod tests {
         for u in [5u64, 9, 200, 3] {
             t.ensure(kh(u), &mut rng);
         }
-        let mut nodes = t.nodes();
+        let mut nodes = Vec::new();
+        t.for_each(|c| nodes.push(c.node()));
         nodes.sort_unstable();
         assert_eq!(nodes, vec![3, 5, 9, 200]);
     }

@@ -57,7 +57,6 @@ pub mod hash;
 pub mod lcht;
 pub mod multi;
 pub mod payload;
-pub mod pool;
 pub mod rng;
 pub mod scht;
 pub mod scratch;
@@ -69,11 +68,10 @@ pub mod weighted;
 
 pub use arena::{SlotArena, NO_BLOCK};
 pub use config::CuckooGraphConfig;
-pub use epoch::{ConcurrentEngine, ReadCoordinator, ReadCounters, MAX_READERS};
+pub use epoch::{ReadCoordinator, ReadCounters, MAX_READERS};
 pub use error::{CuckooGraphError, Result};
 pub use graph::CuckooGraph;
 pub use multi::{EdgeId, MultiEdgeCuckooGraph};
-pub use pool::{PoolStats, TablePool};
 pub use scratch::RebuildScratch;
 pub use segment::{ScanArena, NO_SEG};
 pub use shard::{ShardReadView, Sharded, ShardedCuckooGraph, ShardedWeightedCuckooGraph};

@@ -171,11 +171,6 @@ impl MultiEdgeCuckooGraph {
         self.engine.node_count()
     }
 
-    /// Out-neighbours of `u` (distinct destinations).
-    pub fn successors(&self, u: NodeId) -> Vec<NodeId> {
-        self.engine.successors(u)
-    }
-
     /// Compacts the engine's slot arena — see
     /// [`CuckooGraph::compact_arena`](crate::CuckooGraph::compact_arena).
     pub fn compact_arena(&mut self) -> usize {
@@ -186,16 +181,6 @@ impl MultiEdgeCuckooGraph {
 impl Default for MultiEdgeCuckooGraph {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl crate::epoch::ConcurrentEngine for MultiEdgeCuckooGraph {
-    fn begin_concurrent_write(&mut self, epoch: u64) {
-        self.engine.begin_concurrent_write(epoch);
-    }
-
-    fn end_concurrent_write(&mut self, safe_epoch: u64) -> usize {
-        self.engine.end_concurrent_write(safe_epoch)
     }
 }
 
@@ -278,10 +263,6 @@ impl DynamicGraph for MultiEdgeCuckooGraph {
         }
     }
 
-    fn successors(&self, u: NodeId) -> Vec<NodeId> {
-        MultiEdgeCuckooGraph::successors(self, u)
-    }
-
     fn for_each_successor(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
         // Distinct destinations are exactly what the scan segments mirror, so
         // the multi-edge scan surface rides the contiguous run too.
@@ -318,10 +299,6 @@ impl DynamicGraph for MultiEdgeCuckooGraph {
 
     fn node_count(&self) -> usize {
         MultiEdgeCuckooGraph::node_count(self)
-    }
-
-    fn nodes(&self) -> Vec<NodeId> {
-        self.engine.nodes()
     }
 
     fn scheme(&self) -> GraphScheme {

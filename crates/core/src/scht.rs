@@ -33,26 +33,21 @@
 //! byte loops survive as `*_scalar` methods — the correctness oracle for the
 //! property tests.
 //!
-//! # The pooled flat layout
+//! # The flat layout
 //!
-//! Since PR 6 the table is **`Option`-free and two-buffer flat**: one slot
+//! The table is **`Option`-free and two-buffer flat**: one slot
 //! vector and one tag vector hold both bucket arrays back to back (array 1
 //! starts at flat offset `buckets0 * d`), and the tag occupancy bit is the
 //! *only* empty/occupied discriminant — a vacant slot physically holds
 //! [`Payload::filler`], written on removal and never observable because every
 //! read is guarded by the tags. This halves the slot footprint of plain
 //! payloads (`Option<NodeId>` was 16 bytes, `NodeId` is 8) and cuts a fresh
-//! table from four heap allocations to two.
-//!
-//! Those two allocations are then recycled: tables are born via
-//! [`CuckooTable::new_in`] out of a [`TablePool`] and die via
-//! [`CuckooTable::retire`] back into it, so steady-state TRANSFORMATION churn
-//! reuses the same slot/tag buffers instead of round-tripping the allocator
-//! (see [`crate::pool`]).
+//! table from four heap allocations to two. Both are allocated at exactly
+//! the table's geometric size and freed when the table is dropped, so a
+//! TRANSFORMATION leaves no capacity behind.
 
 use crate::hash::{HashPair, KeyHash};
 use crate::payload::Payload;
-use crate::pool::TablePool;
 use crate::rng::KickRng;
 use crate::swar;
 use graph_api::NodeId;
@@ -110,36 +105,20 @@ pub struct CuckooTable<T> {
 impl<T: Payload> CuckooTable<T> {
     /// Creates an empty table of the given length (`len` buckets in array 0,
     /// `len/2` in array 1) with `d` slots per bucket, hashing with the seeds
-    /// derived from `seed`. Allocates fresh buffers; the engine paths use
-    /// [`CuckooTable::new_in`] to recycle retired ones.
+    /// derived from `seed`.
     pub fn new(len: usize, d: usize, seed: u64) -> Self {
-        Self::new_in(len, d, seed, &mut TablePool::new())
-    }
-
-    /// Creates an empty table whose slot/tag buffers come from `pool` —
-    /// recycled from a retired table when available, freshly allocated on a
-    /// pool miss.
-    pub fn new_in(len: usize, d: usize, seed: u64, pool: &mut TablePool<T>) -> Self {
         let len = len.max(1);
         let buckets1 = secondary_buckets(len);
-        let (slots, tags) = pool.acquire((len + buckets1) * d);
+        let total = (len + buckets1) * d;
         Self {
-            slots,
-            tags,
+            slots: vec![T::filler(); total],
+            tags: vec![0u8; total],
             buckets0: len,
             buckets1,
             d,
             hashes: HashPair::from_seed(seed),
             count: 0,
         }
-    }
-
-    /// Hands the table's buffers back to `pool` for recycling. Callers drain
-    /// the table first, so the buffers arrive all-filler / all-zero and the
-    /// next [`CuckooTable::new_in`] pays a `memset`, not a `malloc`.
-    pub fn retire(self, pool: &mut TablePool<T>) {
-        debug_assert_eq!(self.count, 0, "retiring a table that still holds items");
-        pool.retire(self.slots, self.tags);
     }
 
     /// Length of the table (buckets in the larger array).
@@ -152,10 +131,8 @@ impl<T: Payload> CuckooTable<T> {
         self.d
     }
 
-    /// Total number of slots across both arrays. Purely geometric
-    /// (`(buckets0 + buckets1) · d`), independent of any excess capacity a
-    /// recycled buffer may carry — so every loading-rate aggregate derived
-    /// from it reflects live tables only.
+    /// Total number of slots across both arrays
+    /// (`(buckets0 + buckets1) · d`).
     pub fn capacity(&self) -> usize {
         (self.buckets0 + self.buckets1) * self.d
     }
@@ -319,7 +296,7 @@ impl<T: Payload> CuckooTable<T> {
     }
 
     /// Prefetches the tag bytes of both candidate buckets of `kh` — the cache
-    /// lines a subsequent [`CuckooTable::locate`] for the same key will read.
+    /// lines a subsequent probe for the same key will read.
     #[inline]
     pub fn prefetch(&self, kh: KeyHash) {
         let b0 = self.bucket_base(kh, 0);
@@ -473,8 +450,7 @@ impl<T: Payload> CuckooTable<T> {
     /// occupied slots are located by tag-word scan, so a drain touches only
     /// the slots that actually hold items (each is swapped out for a
     /// [`Payload::filler`]); the tag array is wiped with one `fill`. This is
-    /// the allocation-free feeder of the rebuild scratch, and it leaves the
-    /// buffers clean for [`CuckooTable::retire`].
+    /// the allocation-free feeder of the rebuild scratch.
     pub fn drain_into(&mut self, out: &mut Vec<T>) {
         out.reserve(self.count);
         let slots = &mut self.slots;
@@ -686,35 +662,6 @@ mod tests {
         let slots = 8 * 4 + 4 * 4;
         let expected = slots * std::mem::size_of::<NodeId>() + slots;
         assert_eq!(t.memory_bytes(), expected);
-    }
-
-    #[test]
-    fn pooled_rebirth_reuses_buffers_and_stays_exact() {
-        let mut pool: TablePool<NodeId> = TablePool::new();
-        let mut t = CuckooTable::new_in(8, 4, 0x9999, &mut pool);
-        let mut rng = KickRng::new(13);
-        let mut p = 0;
-        for v in 0..30u64 {
-            t.insert(v, kh(v), &mut rng, 100, &mut p).unwrap();
-        }
-        let mut out = Vec::new();
-        t.drain_into(&mut out);
-        t.retire(&mut pool);
-        assert_eq!(pool.stats().retired, 1);
-
-        // Rebirth from the pool: different geometry, same correctness.
-        let mut t2: CuckooTable<NodeId> = CuckooTable::new_in(4, 4, 0x4242, &mut pool);
-        assert_eq!(pool.stats().hits, 1);
-        assert_eq!(t2.capacity(), (4 + 2) * 4);
-        t2.assert_tags_consistent();
-        for v in 40..60u64 {
-            t2.insert(v, kh(v), &mut rng, 100, &mut p).unwrap();
-        }
-        for v in 40..60u64 {
-            assert_eq!(t2.get(kh(v)), Some(&v));
-        }
-        assert!(!t2.contains(kh(5)), "stale key visible after rebirth");
-        t2.assert_tags_consistent();
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Reusable rebuild buffers for the TRANSFORMATION machinery.
 //!
-//! Before PR 5, every chain expansion, contraction, and reset drained the
-//! affected tables into a freshly allocated `Vec` before re-inserting — one
-//! (or several) heap allocations per resize *event*, on a path that fires
-//! thousands of times under churn-heavy workloads. A [`RebuildScratch`] is an
-//! engine-level pair of buffers (displaced items plus their memoized
-//! [`KeyHash`]es) threaded through `TableChain::expand` / `contract` and every
-//! engine rebuild path, so steady-state resizes reuse the same capacity
-//! forever and the drain → hash → re-place pipeline runs allocation-free.
+//! A [`RebuildScratch`] is an engine-level pair of buffers (displaced items
+//! plus their memoized [`KeyHash`]es) threaded through `TableChain::expand` /
+//! `contract` and every engine rebuild path. Every resize event drains the
+//! affected tables into it before re-inserting, so steady-state resizes reuse
+//! the same drain capacity forever and the drain → hash → re-place pipeline
+//! allocates nothing but the new tables themselves.
 //!
 //! The hash cache matters independently of the allocations: the drain pass
 //! fills `items`, a second tight pass computes every item's Bob hash into
@@ -18,7 +16,6 @@
 
 use crate::hash::KeyHash;
 use crate::payload::Payload;
-use crate::pool::{PoolStats, TablePool};
 
 /// Reusable drain/re-place buffers for one chain's rebuild events.
 ///
@@ -33,11 +30,6 @@ pub struct RebuildScratch<T> {
     /// Memoized hash material parallel to `items` (filled by
     /// [`RebuildScratch::cache_hashes`], popped in lock-step).
     pub(crate) hashes: Vec<KeyHash>,
-    /// Recycled table buffers for the chains rebuilt through this scratch
-    /// (see [`crate::pool`]). Lives here because the scratch is already
-    /// threaded through every resize path, so the pool reaches each
-    /// TRANSFORMATION without new plumbing.
-    pub(crate) pool: TablePool<T>,
 }
 
 impl<T: Payload> RebuildScratch<T> {
@@ -47,30 +39,7 @@ impl<T: Payload> RebuildScratch<T> {
         Self {
             items: Vec::new(),
             hashes: Vec::new(),
-            pool: TablePool::new(),
         }
-    }
-
-    /// Counter snapshot of the embedded table pool.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// Bytes held by idle pooled table buffers.
-    pub fn pool_retained_bytes(&self) -> usize {
-        self.pool.retained_bytes()
-    }
-
-    /// Puts the embedded pool into epoch-stamped deferred-retire mode for a
-    /// concurrent mutation window (see [`crate::epoch`]).
-    pub(crate) fn begin_deferred_retires(&mut self, epoch: u64) {
-        self.pool.begin_deferred(epoch);
-    }
-
-    /// Closes the deferred-retire window, releasing quarantined buffers whose
-    /// stamp cleared `safe_epoch`. Returns how many were released.
-    pub(crate) fn end_deferred_retires(&mut self, safe_epoch: u64) -> usize {
-        self.pool.end_deferred(safe_epoch)
     }
 
     /// Number of items currently buffered (non-zero only mid-rebuild).

@@ -1,5 +1,5 @@
 //! Contiguous successor scan segments: the degree-adaptive flat layout behind
-//! the PR-8 scan fast path.
+//! the scan fast path.
 //!
 //! Above-threshold cells store their neighbours in an S-CHT chain — great for
 //! point probes (tag-word candidate scans, § III-A), but a successor *scan*
@@ -12,7 +12,7 @@
 //! bitmap — and `for_each_successor` walks that one contiguous run instead of
 //! the chain.
 //!
-//! A segment is a *single* pooled buffer: `cap` successor ids followed by
+//! A segment is a *single* buffer: `cap` successor ids followed by
 //! `⌈cap/64⌉` tombstone bitmap words (bit set ⇒ the entry at that index is
 //! dead). Packing the bitmap into the id buffer keeps the whole segment one
 //! allocation — 8.125 bytes per entry instead of the 9 a parallel tag-byte
@@ -41,16 +41,13 @@
 //! per-update sync cost for any payload variant.
 //!
 //! Like its sibling [`crate::arena::SlotArena`], the arena hands out `u32`
-//! indices and recycles freed segments through a LIFO free list. Segment
-//! buffers come from (and retire into) an embedded epoch-aware
-//! [`TablePool`]: inside a concurrent mutation window (see [`crate::epoch`]),
-//! a buffer dropped by segment growth or a cell collapse is stamped and
-//! quarantined instead of recycled, so a reader pinned at an older epoch can
-//! finish scanning a retired segment safely. (Under the current drain
-//! protocol readers never overlap a window at all — the quarantine is the
-//! same belt-and-braces the table pools wear.)
+//! indices and recycles freed segment *ids* through a LIFO free list. The
+//! buffers themselves are allocated at exactly `total_for(cap)` words and
+//! freed when a segment grows or its cell collapses. Freeing on the spot is
+//! safe under the shard read protocol (see [`crate::epoch`]): a writer drains
+//! every pinned reader before its mutation window opens, so no scan can be
+//! in flight on a buffer the window replaces.
 
-use crate::pool::TablePool;
 use crate::scht::prefetch_read;
 use graph_api::NodeId;
 
@@ -74,16 +71,6 @@ const GROW_MIN: usize = 4;
 /// scales — so `Vec`'s doubling would routinely strand a near-2× slack of
 /// 32-byte structs; reserving in small exact chunks keeps that slack bounded.
 const SEGS_CHUNK: usize = 8;
-
-/// Largest capacity (in entries) a *released* segment buffer keeps when it
-/// retires into the pool. A cell collapse hands back a buffer sized for the
-/// cell's former degree; retaining a giant one would hold peak memory hostage
-/// after mass deletion (the pool counts retained capacity honestly), while
-/// fresh segments are born near [`MIN_CAP`] and grow in 25% chunks — so
-/// oversized retirees are shrunk to this bound first. Growth retirees are
-/// exempt: mid-growth the arena is expanding and the next grow reuses them
-/// at full size.
-const RETIRE_CAP: usize = 256;
 
 /// Tombstone bitmap words needed for `cap` entries.
 #[inline]
@@ -152,16 +139,13 @@ impl ScanSegment {
     }
 }
 
-/// Arena of per-cell scan segments: `u32` segment ids, LIFO free list,
-/// embedded epoch-aware buffer pool. One per engine.
+/// Arena of per-cell scan segments: `u32` segment ids, LIFO free list. One
+/// per engine.
 #[derive(Debug, Clone, Default)]
 pub struct ScanArena {
     segs: Vec<ScanSegment>,
     /// Freed segment ids, reused LIFO so hot churn re-touches warm slots.
     free: Vec<u32>,
-    /// Recycles segment buffers across grow/release events; quarantines
-    /// retirements behind epoch stamps inside concurrent mutation windows.
-    pool: TablePool<NodeId>,
     /// Cumulative threshold-triggered in-place compactions.
     compactions: u64,
     /// Cumulative tombstones punched.
@@ -174,23 +158,12 @@ impl ScanArena {
         Self::default()
     }
 
-    /// Acquires a buffer for `cap` entries with its bitmap region zeroed (the
-    /// id region is raw — segments track their own fill level).
-    fn acquire_buf(&mut self, cap: usize) -> Vec<NodeId> {
-        let mut buf = self.pool.acquire_ids(total_for(cap));
-        for w in &mut buf[cap..] {
-            *w = 0;
-        }
-        buf
-    }
-
     /// Creates an empty segment sized for `hint` entries (plus chunk
     /// rounding), returning its id.
     pub fn create(&mut self, hint: usize) -> u32 {
         let cap = hint.max(MIN_CAP);
-        let buf = self.acquire_buf(cap);
         let seg = ScanSegment {
-            buf,
+            buf: vec![0; total_for(cap)],
             len: 0,
             dead: 0,
         };
@@ -256,19 +229,10 @@ impl ScanArena {
         true
     }
 
-    /// Returns a freed cell's segment: the buffer retires into the pool
-    /// (quarantined when inside a concurrent mutation window) and the id
+    /// Returns a freed cell's segment: the buffer is dropped and the id
     /// re-enters the LIFO free list.
     pub fn release(&mut self, seg: u32) {
-        let s = &mut self.segs[seg as usize];
-        let mut buf = std::mem::take(&mut s.buf);
-        s.len = 0;
-        s.dead = 0;
-        if buf.capacity() > total_for(RETIRE_CAP) {
-            buf.truncate(total_for(RETIRE_CAP));
-            buf.shrink_to(total_for(RETIRE_CAP));
-        }
-        self.pool.retire_ids(buf);
+        self.segs[seg as usize] = ScanSegment::default();
         self.free.push(seg);
     }
 
@@ -337,27 +301,28 @@ impl ScanArena {
         s.dead = 0;
     }
 
-    /// Grows `segs[idx]` by one exact chunk (`cap/4`, at least [`GROW_MIN`]),
-    /// copying only live entries into a pool-acquired buffer and retiring the
-    /// old one (into the epoch quarantine when a window is open).
+    /// Grows `segs[idx]` by one exact chunk (`cap/4`, at least [`GROW_MIN`]):
+    /// the new buffer is built once — live ids first, then zeroes for the
+    /// unused tail and the bitmap, so no word is written twice — and the old
+    /// one is dropped.
     fn grow(&mut self, idx: usize) {
-        let old_cap = self.segs[idx].capacity();
-        let new_cap = old_cap + (old_cap / 4).max(GROW_MIN);
-        let mut buf = self.acquire_buf(new_cap);
         let s = &mut self.segs[idx];
+        let old_cap = s.capacity();
+        let new_cap = old_cap + (old_cap / 4).max(GROW_MIN);
         let n = s.len as usize;
-        let (ids, bm) = s.split_mut();
-        let mut live = 0usize;
-        for (i, &id) in ids.iter().enumerate().take(n) {
-            if !ScanSegment::is_dead(bm, i) {
-                buf[live] = id;
-                live += 1;
-            }
-        }
-        let old_buf = std::mem::replace(&mut s.buf, buf);
-        s.len = live as u32;
+        let mut buf = Vec::with_capacity(total_for(new_cap));
+        let (ids, bm) = s.buf.split_at(old_cap);
+        buf.extend(
+            ids[..n]
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !ScanSegment::is_dead(bm, i))
+                .map(|(_, &id)| id),
+        );
+        s.len = buf.len() as u32;
         s.dead = 0;
-        self.pool.retire_ids(old_buf);
+        buf.resize(total_for(new_cap), 0);
+        s.buf = buf;
     }
 
     /// Cumulative threshold-triggered compactions.
@@ -370,9 +335,8 @@ impl ScanArena {
         self.tombstones
     }
 
-    /// Bytes held by the arena: segment buffers (capacity, not length),
-    /// bookkeeping, and everything parked in the buffer pool — pooled
-    /// capacity is never hidden from the memory experiments.
+    /// Bytes held by the arena: segment buffers (capacity, not length) and
+    /// bookkeeping.
     pub fn memory_bytes(&self) -> usize {
         let buffers: usize = self
             .segs
@@ -382,20 +346,6 @@ impl ScanArena {
         buffers
             + self.segs.capacity() * std::mem::size_of::<ScanSegment>()
             + self.free.capacity() * std::mem::size_of::<u32>()
-            + self.pool.retained_bytes()
-    }
-
-    /// Enters deferred-retire mode for the buffer pool (see
-    /// [`TablePool::begin_deferred`]); called by the engine at the top of a
-    /// concurrent mutation window.
-    pub fn begin_deferred_retires(&mut self, epoch: u64) {
-        self.pool.begin_deferred(epoch);
-    }
-
-    /// Leaves deferred-retire mode, releasing quarantined buffers stamped
-    /// below `safe_epoch`. Returns how many were released.
-    pub fn end_deferred_retires(&mut self, safe_epoch: u64) -> usize {
-        self.pool.end_deferred(safe_epoch)
     }
 }
 
@@ -537,14 +487,14 @@ mod tests {
     }
 
     #[test]
-    fn release_recycles_ids_lifo_and_buffers_through_the_pool() {
+    fn release_recycles_segment_ids_lifo() {
         let mut a = ScanArena::new();
         let s0 = a.create(8);
         let s1 = a.create(8);
         a.append(s1, 4);
         a.release(s1);
         assert_eq!(a.live_len(s1), 0);
-        // LIFO id reuse; the recycled buffer comes back from the pool.
+        // LIFO id reuse, on a fresh buffer.
         let s2 = a.create(8);
         assert_eq!(s2, s1);
         assert_eq!(collect(&a, s2), Vec::<NodeId>::new());
@@ -554,9 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn recycled_buffers_start_with_a_clean_bitmap() {
-        // Retirees go back dirty (raw pool) — creation must still hand out a
-        // segment whose bitmap carries no stale tombstones.
+    fn recycled_ids_start_with_a_clean_bitmap() {
+        // A re-created segment under a recycled id must carry no stale
+        // tombstones from the id's previous life.
         let mut a = ScanArena::new();
         let seg = a.create(8);
         for v in 0..8u64 {
@@ -572,26 +522,15 @@ mod tests {
     }
 
     #[test]
-    fn deferred_release_quarantines_buffers_until_the_epoch_clears() {
-        let mut a = ScanArena::new();
-        let seg = a.create(8);
-        a.append(seg, 1);
-        a.begin_deferred_retires(5);
-        let before = a.memory_bytes();
-        a.release(seg);
-        // Quarantined, still counted in memory.
-        assert!(a.memory_bytes() >= before);
-        assert_eq!(a.end_deferred_retires(6), 1);
-    }
-
-    #[test]
     fn memory_is_reported_and_shrinks_on_release_reuse() {
         let mut a = ScanArena::new();
         let seg = a.create(64);
         let with_seg = a.memory_bytes();
         assert!(with_seg >= total_for(64) * std::mem::size_of::<NodeId>());
         a.release(seg);
-        // Buffers moved to the pool: still counted (never hidden).
-        assert!(a.memory_bytes() >= with_seg - 64);
+        // The released buffer is freed, not parked.
+        let freed = total_for(64) * std::mem::size_of::<NodeId>();
+        let free_list = a.free.capacity() * std::mem::size_of::<u32>();
+        assert_eq!(a.memory_bytes(), with_seg - freed + free_list);
     }
 }

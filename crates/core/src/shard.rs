@@ -1,8 +1,8 @@
 //! Sharded CuckooGraph: N independent L-CHT/S-CHT engines partitioned by
 //! source-node hash, with batched mutations fanned out to the shards on
-//! [`std::thread::scope`] — and, since PR 7, queries that proceed
-//! **concurrently with an ingesting writer** through the per-shard
-//! [`ReadCoordinator`] protocol of [`crate::epoch`].
+//! [`std::thread::scope`] — and queries that proceed **concurrently with an
+//! ingesting writer** through the per-shard [`ReadCoordinator`] protocol of
+//! [`crate::epoch`].
 //!
 //! Every edge `⟨u, v⟩` lives entirely inside the shard that owns `u`, so the
 //! shards partition the source-node space and never share mutable state: a
@@ -12,7 +12,7 @@
 //!
 //! ## Concurrent reads under ingest
 //!
-//! Each shard is a [`ShardSlot`]: the engine in an [`UnsafeCell`], a
+//! Each shard is a `ShardSlot`: the engine in an [`UnsafeCell`], a
 //! [`ReadCoordinator`], and a writer gate. Two access disciplines share them:
 //!
 //! * **Exclusive (`&mut self`)** — the classic surface. The borrow checker
@@ -24,26 +24,24 @@
 //!   [`Sharded::read_view`] guards (or one-shot [`Sharded::with_shard`]
 //!   reads) query the same shards. The writer gate serializes writers per
 //!   shard; within the gate the writer opens short seqlock *mutation windows*
-//!   (one per [`INGEST_CHUNK`] edges) that drain announced readers, so reads
-//!   flow between chunks instead of waiting out the whole batch. Table
-//!   buffers retired by TRANSFORMATIONs inside a window are epoch-stamped and
-//!   quarantined in the [`crate::pool::TablePool`], re-entering circulation
-//!   only once [`ReadCoordinator::reclaim_bound`] proves no reader pinned at
-//!   an older epoch can still reference them.
+//!   (one per `INGEST_CHUNK` edges) that drain announced readers, so reads
+//!   flow between chunks instead of waiting out the whole batch. No reader is
+//!   pinned while a window is open, so tables and segments a TRANSFORMATION
+//!   replaces inside it are simply freed.
 //!
-//! The per-shard engines inherit the PR-4 probe path wholesale: every batched
+//! The per-shard engines inherit the tagged probe path wholesale: every batched
 //! group a shard thread settles runs the tagged-bucket scan, per-run hash
 //! memoization, and next-key prefetching of [`crate::engine::Engine`]'s batch
 //! drivers — the fan-out multiplies that per-shard speedup rather than
 //! replacing it. (Shard routing itself hashes `u` with [`splitmix64`] +
-//! [`SHARD_SALT`], deliberately decorrelated from the engines' internal
+//! `SHARD_SALT`, deliberately decorrelated from the engines' internal
 //! bucket hashing, so nothing is shared across the boundary to memoize.)
 
 use std::cell::UnsafeCell;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::config::CuckooGraphConfig;
-use crate::epoch::{ConcurrentEngine, ReadCoordinator, ReadCounters};
+use crate::epoch::{ReadCoordinator, ReadCounters};
 use crate::graph::CuckooGraph;
 use crate::hash::splitmix64;
 use crate::stats::StructureStats;
@@ -71,7 +69,9 @@ const INGEST_CHUNK: usize = 512;
 ///    which holds `write_gate` — writers never overlap each other;
 /// 2. readers hold a [`ReadCoordinator`] pin, which
 ///    [`ReadCoordinator::begin_write`] drains before the writer touches the
-///    engine — writers never overlap readers.
+///    engine — writers never overlap readers (pinned by
+///    `writers_and_readers_exclude_each_other` in
+///    `tests/concurrent_read_model.rs`).
 ///
 /// `&mut ShardSlot` access (the classic exclusive surface) needs neither: the
 /// borrow checker has already proven no `&ShardSlot` exists.
@@ -103,66 +103,96 @@ impl<G> ShardSlot<G> {
         self.engine.get_mut()
     }
 
+    /// Pins reader slot `idx`, then refuses to serve an engine that a
+    /// panicking write closure left half-mutated. The check sits behind the
+    /// pin: a window that unwinds poisons the gate *before* it lets readers
+    /// through (see [`WindowGuard`]).
+    fn pin(&self, idx: usize, one_shot: bool) -> PinGuard<'_> {
+        self.coord.pin(idx);
+        let pin = PinGuard {
+            coord: &self.coord,
+            idx,
+            one_shot,
+        };
+        assert!(!self.write_gate.is_poisoned(), "shard write gate poisoned");
+        pin
+    }
+
     /// A shared read of this shard's engine: registers, pins, reads, and
     /// withdraws per the seqlock protocol.
     fn read<R>(&self, f: impl FnOnce(&G) -> R) -> R {
-        let idx = self.coord.acquire_slot();
-        let r = {
-            let _pin = PinGuard::pin(&self.coord, idx);
-            f(unsafe { &*self.engine.get() })
-        };
-        self.coord.release_slot(idx);
-        r
+        let _pin = self.pin(self.coord.acquire_slot(), true);
+        // Safety: the pin holds, so no mutation window is open and a writer
+        // opening one drains this slot before it touches the engine.
+        f(unsafe { &*self.engine.get() })
     }
 
     /// Like [`ShardSlot::read`] but reusing an already registered reader slot
     /// (a [`ShardReadView`] holds one per shard, so hot read loops skip the
     /// registry CAS).
     fn read_pinned<R>(&self, idx: usize, f: impl FnOnce(&G) -> R) -> R {
-        let _pin = PinGuard::pin(&self.coord, idx);
+        let _pin = self.pin(idx, false);
+        // Safety: as in `read` — pinned, so every writer's drain waits on us.
         f(unsafe { &*self.engine.get() })
     }
 
-    /// A write section through a shared borrow. The gate serializes
-    /// writers; inside it the writer opens a drained mutation window and runs
-    /// the epoch-stamped retire/reclaim hooks around `f`.
-    fn write<R>(&self, f: impl FnOnce(&mut G) -> R) -> R
-    where
-        G: ConcurrentEngine,
-    {
-        let _gate = self.write_gate.lock().expect("shard write gate poisoned");
-        let epoch = self.coord.begin_write();
-        // Safety: the gate excludes other writers and the drain excluded
-        // every reader pin; new pins wait on the odd sequence word.
-        let engine = unsafe { &mut *self.engine.get() };
-        engine.begin_concurrent_write(epoch);
-        let r = f(engine);
-        // Reclaim while still inside the drained window: the engine is ours
-        // exclusively here, and the bound already resolves to `epoch + 1`
-        // because the registry is empty.
-        engine.end_concurrent_write(self.coord.reclaim_bound());
-        self.coord.end_write();
-        r
+    /// A write section through a shared borrow: gate → drained mutation
+    /// window → `f` → window closed.
+    fn write<R>(&self, f: impl FnOnce(&mut G) -> R) -> R {
+        let gate = self.write_gate.lock().expect("shard write gate poisoned");
+        let _window = WindowGuard::open(&self.coord, gate);
+        // Safety: the gate excludes other writers and `begin_write` drained
+        // every reader pin; new pins wait on the odd sequence word until the
+        // guard closes the window.
+        f(unsafe { &mut *self.engine.get() })
     }
 }
 
 /// Unpins a reader slot even if the read closure panics, so a writer's drain
-/// loop is never left waiting on a dead reader.
+/// loop is never left waiting on a dead reader. A one-shot read's guard also
+/// withdraws the registration it made.
 struct PinGuard<'c> {
     coord: &'c ReadCoordinator,
     idx: usize,
-}
-
-impl<'c> PinGuard<'c> {
-    fn pin(coord: &'c ReadCoordinator, idx: usize) -> Self {
-        coord.pin(idx);
-        Self { coord, idx }
-    }
+    one_shot: bool,
 }
 
 impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
         self.coord.unpin(self.idx);
+        if self.one_shot {
+            self.coord.release_slot(self.idx);
+        }
+    }
+}
+
+/// Closes a mutation window even if the write closure panics, so readers
+/// spinning in [`ReadCoordinator::pin`] are never left waiting on a dead
+/// writer. On unwind the gate is released — and thereby poisoned — *before*
+/// the sequence word turns even: a reader that gets through afterwards is
+/// ordered behind the poison flag by that `SeqCst` flip and panics in
+/// [`ShardSlot::pin`] instead of reading the half-mutated engine.
+struct WindowGuard<'c> {
+    coord: &'c ReadCoordinator,
+    gate: Option<MutexGuard<'c, ()>>,
+}
+
+impl<'c> WindowGuard<'c> {
+    fn open(coord: &'c ReadCoordinator, gate: MutexGuard<'c, ()>) -> Self {
+        coord.begin_write();
+        Self {
+            coord,
+            gate: Some(gate),
+        }
+    }
+}
+
+impl Drop for WindowGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.gate.take();
+        }
+        self.coord.end_write();
     }
 }
 
@@ -318,9 +348,8 @@ impl<G> Sharded<G> {
 
     /// The shared-surface fan-out: groups `items` per shard and runs
     /// `apply(engine, chunk)` inside gated write sections of at most
-    /// [`INGEST_CHUNK`] items, one scoped thread per non-empty group.
-    /// Concurrent readers flow between the chunks; table buffers retired
-    /// inside a chunk are epoch-quarantined until provably unreferenced.
+    /// `INGEST_CHUNK` (512) items, one scoped thread per non-empty group.
+    /// Concurrent readers flow between the chunks.
     pub fn concurrent_fan_out<T: Copy + Sync>(
         &self,
         items: &[T],
@@ -328,7 +357,7 @@ impl<G> Sharded<G> {
         apply: impl Fn(&mut G, &[T]) -> usize + Sync,
     ) -> usize
     where
-        G: ConcurrentEngine + Send + Sync,
+        G: Send + Sync,
     {
         let groups = self.group_by_shard(items, &key);
         let apply = &apply;
@@ -362,10 +391,7 @@ impl<G> Sharded<G> {
     /// spawned: the caller pays one gate lock plus one drained mutation
     /// window, so a serving loop can apply individual commands without
     /// batch-sized latency.
-    pub fn update_shard<R>(&self, u: NodeId, f: impl FnOnce(&mut G) -> R) -> R
-    where
-        G: ConcurrentEngine,
-    {
+    pub fn update_shard<R>(&self, u: NodeId, f: impl FnOnce(&mut G) -> R) -> R {
         let idx = self.shard_index(u);
         self.slots[idx].write(f)
     }
@@ -394,7 +420,7 @@ impl<G> Sharded<G> {
     }
 }
 
-impl<G: DynamicGraph + ConcurrentEngine + Send + Sync> Sharded<G> {
+impl<G: DynamicGraph + Send + Sync> Sharded<G> {
     /// Batched insert through `&self`: the concurrent counterpart of
     /// [`DynamicGraph::insert_edges`], safe to run while
     /// [`Sharded::read_view`] guards query the same shards. Returns the
@@ -410,7 +436,7 @@ impl<G: DynamicGraph + ConcurrentEngine + Send + Sync> Sharded<G> {
     }
 }
 
-impl<G: WeightedDynamicGraph + DynamicGraph + ConcurrentEngine + Send + Sync> Sharded<G> {
+impl<G: WeightedDynamicGraph + DynamicGraph + Send + Sync> Sharded<G> {
     /// Batched weighted insert through `&self`: the concurrent counterpart of
     /// [`WeightedDynamicGraph::insert_weighted_edges`]. Returns the number of
     /// distinct edges newly created.
@@ -547,7 +573,7 @@ impl<G: Clone> Clone for Sharded<G> {
     /// `&self` batch on the source finishes its shard first). The clone gets
     /// fresh coordinators: registrations, pins, and read counters do not
     /// carry over.
-    #[allow(unsafe_code)] // Safety: the gate excludes writers; clone only reads.
+    #[allow(unsafe_code)]
     fn clone(&self) -> Self {
         Self {
             slots: self
@@ -555,6 +581,8 @@ impl<G: Clone> Clone for Sharded<G> {
                 .iter()
                 .map(|slot| {
                     let _gate = slot.write_gate.lock().expect("shard write gate poisoned");
+                    // Safety: every `&mut G` is derived under the gate we
+                    // hold, and clone only reads.
                     ShardSlot::new(unsafe { &*slot.engine.get() }.clone())
                 })
                 .collect(),
@@ -1120,22 +1148,39 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_ingest_defers_and_reclaims_pool_buffers() {
-        // Heavy single-shard churn so TRANSFORMATIONs retire tables inside
-        // mutation windows; every quarantined buffer must clear by the end of
-        // the final window (the drained-window bound covers its own epoch).
-        let g = ShardedCuckooGraph::new(1);
-        let edges: Vec<(NodeId, NodeId)> = (0..6_000u64).map(|i| (i % 40, i / 2)).collect();
-        g.ingest_batch(&edges);
-        g.remove_batch(&edges);
-        g.ingest_batch(&edges);
-        let stats = g.stats();
-        assert!(stats.pool_deferred > 0, "churn never deferred a retirement");
-        assert_eq!(
-            stats.pool_deferred, stats.pool_reclaimed,
-            "a quarantined buffer leaked past the final window"
-        );
-        assert_eq!(stats.pool_deferred_pending, 0);
+    fn panicking_write_closes_its_window_and_poisons_later_reads() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let g = std::sync::Arc::new(ShardedCuckooGraph::new(1));
+        g.ingest_batch(&[(1, 2)]);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            g.update_shard(1, |shard| {
+                shard.insert_edge(1, 3);
+                panic!("write closure died mid-mutation");
+            })
+        }));
+        assert!(died.is_err());
+        assert_eq!(g.read_counters().epoch_advances, 2, "window left open");
+
+        // Readers must fail loudly, not spin on an odd sequence word — and
+        // not leak their registrations either (more one-shot reads than
+        // reader slots). A helper thread keeps a regression from hanging the
+        // suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = std::sync::Arc::clone(&g);
+        std::thread::spawn(move || {
+            let one_shot = (0..=crate::MAX_READERS)
+                .all(|_| catch_unwind(AssertUnwindSafe(|| reader.with_shard(0, |_| ()))).is_err());
+            let view = reader.read_view();
+            let pinned = catch_unwind(AssertUnwindSafe(|| view.has_edge(1, 2))).is_err();
+            tx.send((one_shot, pinned)).ok();
+        });
+        let (one_shot, pinned) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("reader hung behind a window that never closed");
+        assert!(one_shot, "one-shot read served a half-mutated shard");
+        assert!(pinned, "view read served a half-mutated shard");
+        let writer = catch_unwind(AssertUnwindSafe(|| g.ingest_batch(&[(1, 4)])));
+        assert!(writer.is_err(), "writer entered a poisoned gate");
     }
 
     #[test]

@@ -43,21 +43,13 @@ pub struct StructureStats {
     pub expansions: u64,
     /// Number of chain/table contractions performed.
     pub contractions: u64,
-    /// Table-pool acquisitions served from a recycled buffer (no allocation).
+    /// Always 0: tables are allocated at exact size and freed on retirement,
+    /// there is no recycling pool. The field stays because `benchmark/` names
+    /// it; it goes when the benchmark drops its catalogue row.
     pub pool_hits: u64,
-    /// Table-pool acquisitions that had to allocate fresh buffers.
+    /// Always 0, kept for `benchmark/` (see [`StructureStats::pool_hits`]).
     pub pool_misses: u64,
-    /// Tables whose buffers were returned to the pool on retirement.
-    pub pool_retired: u64,
-    /// Retirements quarantined behind an epoch stamp inside concurrent write
-    /// sections instead of entering the free list directly (cumulative).
-    pub pool_deferred: u64,
-    /// Quarantined buffers released back into circulation after their epoch
-    /// cleared the reclaim bound (cumulative).
-    pub pool_reclaimed: u64,
-    /// Buffers still parked in pool quarantines, awaiting an epoch advance.
-    pub pool_deferred_pending: usize,
-    /// Bytes currently parked in pool free lists awaiting reuse.
+    /// Always 0, kept for `benchmark/` (see [`StructureStats::pool_hits`]).
     pub pool_retained_bytes: usize,
     /// Concurrent-read pins that observed an open write window (or a torn
     /// sequence word) and had to back off and retry. Counted by the shard
@@ -66,8 +58,7 @@ pub struct StructureStats {
     /// Successful concurrent-read pins granted by the shard layer's read
     /// coordinators; always 0 for a serial engine.
     pub read_pins: u64,
-    /// Epoch advances published by shard write sections (each one may free
-    /// quarantined table buffers for reclamation); always 0 for a serial
+    /// Mutation windows closed by shard write sections; always 0 for a serial
     /// engine.
     pub epoch_advances: u64,
     /// Threshold-triggered in-place compactions of scan segments (cumulative;
@@ -75,8 +66,8 @@ pub struct StructureStats {
     pub segment_compactions: u64,
     /// Tombstones punched into scan segments by edge deletions (cumulative).
     pub segment_tombstones: u64,
-    /// Bytes currently held by the scan-segment arena: segment buffers,
-    /// bookkeeping, and buffers parked in its recycling pool.
+    /// Bytes currently held by the scan-segment arena: segment buffers and
+    /// bookkeeping.
     pub segment_bytes: usize,
     /// Blocks carved out of the slot arena (live + freed).
     pub arena_blocks: usize,
@@ -106,13 +97,6 @@ impl StructureStats {
         self.insertion_failures += o.insertion_failures;
         self.expansions += o.expansions;
         self.contractions += o.contractions;
-        self.pool_hits += o.pool_hits;
-        self.pool_misses += o.pool_misses;
-        self.pool_retired += o.pool_retired;
-        self.pool_deferred += o.pool_deferred;
-        self.pool_reclaimed += o.pool_reclaimed;
-        self.pool_deferred_pending += o.pool_deferred_pending;
-        self.pool_retained_bytes += o.pool_retained_bytes;
         self.reader_retries += o.reader_retries;
         self.read_pins += o.read_pins;
         self.epoch_advances += o.epoch_advances;
@@ -187,7 +171,7 @@ mod tests {
         let a = StructureStats {
             nodes: 3,
             edges: 5,
-            pool_deferred: 2,
+            segment_bytes: 2,
             reader_retries: 7,
             read_pins: 11,
             epoch_advances: 1,
@@ -196,8 +180,7 @@ mod tests {
         let b = StructureStats {
             nodes: 4,
             edges: 6,
-            pool_deferred: 1,
-            pool_reclaimed: 1,
+            segment_bytes: 1,
             reader_retries: 3,
             read_pins: 9,
             epoch_advances: 2,
@@ -207,8 +190,7 @@ mod tests {
         m.merge(&b);
         assert_eq!(m.nodes, 7);
         assert_eq!(m.edges, 11);
-        assert_eq!(m.pool_deferred, 3);
-        assert_eq!(m.pool_reclaimed, 1);
+        assert_eq!(m.segment_bytes, 3);
         assert_eq!(m.reader_retries, 10);
         assert_eq!(m.read_pins, 20);
         assert_eq!(m.epoch_advances, 3);

@@ -86,16 +86,6 @@ impl Default for WeightedCuckooGraph {
     }
 }
 
-impl crate::epoch::ConcurrentEngine for WeightedCuckooGraph {
-    fn begin_concurrent_write(&mut self, epoch: u64) {
-        self.engine.begin_concurrent_write(epoch);
-    }
-
-    fn end_concurrent_write(&mut self, safe_epoch: u64) -> usize {
-        self.engine.end_concurrent_write(safe_epoch)
-    }
-}
-
 impl MemoryFootprint for WeightedCuckooGraph {
     fn memory_bytes(&self) -> usize {
         self.engine.memory_bytes()
@@ -202,10 +192,6 @@ impl DynamicGraph for WeightedCuckooGraph {
         self.engine.remove(u, v).is_some()
     }
 
-    fn successors(&self, u: NodeId) -> Vec<NodeId> {
-        self.engine.successors(u)
-    }
-
     fn for_each_successor(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
         // Successor ids are exactly what the scan segments mirror, so the
         // weighted graph's unweighted scan surface rides the contiguous run
@@ -244,10 +230,6 @@ impl DynamicGraph for WeightedCuckooGraph {
 
     fn node_count(&self) -> usize {
         self.engine.node_count()
-    }
-
-    fn nodes(&self) -> Vec<NodeId> {
-        self.engine.nodes()
     }
 
     fn scheme(&self) -> GraphScheme {

@@ -1,18 +1,14 @@
-//! Property tests for the PR-6 memory layer: table pooling and the slot
+//! Property tests for the memory layer: exact-size tables and the slot
 //! arena.
 //!
-//! The table pool only changes where a fresh table's buffers *come from*
-//! (recycled vs allocator), never what they contain — so a pooled graph
-//! driven through an operation sequence must hold exactly what a
+//! A graph driven through an operation sequence must hold exactly what a
 //! `BTreeSet`/`BTreeMap` model driven by the same sequence holds: same op
 //! return values, edge set, successor sets and counts, with capacity and
 //! memory inside what the model's size allows. The tests pin that under
 //! random insert/delete churn, serially and sharded, and additionally pin
-//! the PR-6 satellite fixes: loading-rate aggregates must reflect live
-//! tables only (recycled buffer capacity never leaks into `lcht_cells`),
-//! and arena compaction must be a pure relayout (same graph before and
-//! after, free list drained, remap applied to every cell including parked
-//! L-DL cells).
+//! that loading-rate aggregates reflect live tables only and that arena
+//! compaction is a pure relayout (same graph before and after, free list
+//! drained, remap applied to every cell including parked L-DL cells).
 
 use cuckoograph::{
     CuckooGraph, CuckooGraphConfig, MemoryFootprint, NodeId, ShardedCuckooGraph, StructureStats,
@@ -24,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One operation of the randomised churn workload. Weighted towards inserts
 /// so graphs grow through expansion thresholds, with enough deletes to drive
-/// contractions and chain collapses (the paths that exercise the pool).
+/// contractions and chain collapses (the paths that replace tables).
 #[derive(Debug, Clone)]
 enum Op {
     Insert(u64, u64),
@@ -44,7 +40,7 @@ fn op_strategy(nodes: u64, fanout: u64) -> impl Strategy<Value = Op> {
 
 /// Expands an op into the concrete edge list it acts on. Batch ops touch a
 /// whole adjacency run so chains expand/contract in bulk — the heaviest
-/// TRANSFORMATION traffic, hence the heaviest pool traffic.
+/// TRANSFORMATION traffic.
 fn edges_of(op: &Op, fanout: u64) -> (bool, Vec<(NodeId, NodeId)>) {
     match *op {
         Op::Insert(u, v) => (true, vec![(u, v)]),
@@ -56,7 +52,7 @@ fn edges_of(op: &Op, fanout: u64) -> (bool, Vec<(NodeId, NodeId)>) {
 
 /// The reference the engine is checked against: the exact edge set, every
 /// source that ever received an insert (cells persist once created), and the
-/// high-water edge count (pooled buffers are sized by past peaks).
+/// high-water edge count (the slot arena's slab is sized by past peaks).
 #[derive(Debug, Default)]
 struct Model {
     edges: BTreeSet<(NodeId, NodeId)>,
@@ -99,9 +95,8 @@ impl Model {
 /// (`base_len = 4`, `d = 8`, bucket arrays 2:1).
 const BASE_TABLE_SLOTS: usize = 4 * 8 * 3 / 2;
 
-/// Checks the capacity-derived aggregates against the model. Recycled
-/// buffers carry excess `Vec` capacity; the stats must count **live**
-/// geometry only, so the slot counts stay within what the TRANSFORMATION
+/// Checks the capacity-derived aggregates against the model. The stats
+/// count **live** geometry, so the slot counts stay within what the TRANSFORMATION
 /// rule can reach from the model's node and edge counts: a chain past its
 /// base geometry never sits below a quarter full (expansion fires at `G`,
 /// contraction at `Λ`; a fresh merge lands at `2G/3`).
@@ -150,12 +145,12 @@ fn sorted_edges(g: &CuckooGraph) -> Vec<(NodeId, NodeId)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A pooled engine driven through a churn sequence is indistinguishable
-    /// from the set model: identical op return values, edge set, successor
-    /// sets, degrees, and counts. Memory stays within what the model's
-    /// high-water mark can account for, pooled capacity included.
+    /// An engine driven through a churn sequence is indistinguishable from
+    /// the set model: identical op return values, edge set, successor sets,
+    /// degrees, and counts. Memory stays within what the model's high-water
+    /// mark can account for.
     #[test]
-    fn pooled_graph_matches_pool_off_oracle_under_churn(
+    fn graph_matches_the_set_model_under_churn(
         ops in prop::collection::vec(op_strategy(24, 40), 1..120),
         seed in 0u64..1_000
     ) {
@@ -163,108 +158,98 @@ proptest! {
             .with_lcht_base_len(4)
             .with_scht_base_len(4)
             .with_seed(seed);
-        let mut pooled = CuckooGraph::with_config(config);
+        let mut graph = CuckooGraph::with_config(config);
         let mut model = Model::default();
-        let empty_bytes = pooled.memory_bytes();
+        let empty_bytes = graph.memory_bytes();
 
         for op in &ops {
             let (insert, edges) = edges_of(op, 40);
             if insert {
-                prop_assert_eq!(pooled.insert_edges(&edges), model.insert(&edges));
+                prop_assert_eq!(graph.insert_edges(&edges), model.insert(&edges));
             } else {
-                prop_assert_eq!(pooled.remove_edges(&edges), model.remove(&edges));
+                prop_assert_eq!(graph.remove_edges(&edges), model.remove(&edges));
             }
         }
 
-        prop_assert_eq!(sorted_edges(&pooled), model.sorted_edges());
+        prop_assert_eq!(sorted_edges(&graph), model.sorted_edges());
         for u in 0..24u64 {
             let want = model.successors(u);
-            let mut a = pooled.successors(u);
+            let mut a = graph.successors(u);
             a.sort_unstable();
             prop_assert_eq!(&a, &want, "successors of {} diverge", u);
-            prop_assert_eq!(pooled.out_degree(u), want.len());
+            prop_assert_eq!(graph.out_degree(u), want.len());
             for &v in &want {
-                prop_assert!(pooled.has_edge(u, v), "lost edge ({}, {})", u, v);
+                prop_assert!(graph.has_edge(u, v), "lost edge ({}, {})", u, v);
             }
         }
 
-        let ps = pooled.stats();
-        check_shape_against_model(&ps, &model, 1);
-        prop_assert_eq!(
-            ps.pool_hits + ps.pool_misses > 0,
-            ps.lcht_tables + ps.scht_tables > 0,
-            "every live table was born through the pool"
-        );
+        check_shape_against_model(&graph.stats(), &model, 1);
 
-        // Pooling may only add what it honestly reports as retained, plus the
-        // ride-along capacity of live tables born from recycled buffers —
-        // which `TablePool::acquire` caps at 4× each table's geometric size.
-        // Against the model that is a per-cell and a per-edge budget at the
-        // high-water mark (idle buffers are sized by past peaks).
-        let retained = ps.pool_retained_bytes;
-        prop_assert!(retained <= pooled.memory_bytes(), "retained bytes not counted");
-        let budget = empty_bytes + 512 * model.sources.len() + 256 * model.peak_edges;
+        // Tables and segments are allocated at exact size and freed when
+        // replaced, so memory is live geometry plus the slot arena's slab
+        // (sized by the high-water mark). Per source: its share of the L-CHT
+        // (≤ 4 cells of 25 B), one 48 B arena block and, once chained, the
+        // chain header, a base table (48 slots of 9 B) and a minimal segment.
+        // Per edge past that: ≤ 4 S-CHT slots of 9 B and ~10 B of segment.
+        let budget = empty_bytes + 512 * model.sources.len() + 64 * model.peak_edges;
         prop_assert!(
-            pooled.memory_bytes() <= budget,
+            graph.memory_bytes() <= budget,
             "memory {} exceeds the model's budget {} ({} cells, peak {} edges)",
-            pooled.memory_bytes(), budget, model.sources.len(), model.peak_edges
+            graph.memory_bytes(), budget, model.sources.len(), model.peak_edges
         );
     }
 
-    /// The same equivalence holds across the sharded fan-out: each shard's
-    /// pool is private, and N pooled shards together still hold exactly the
-    /// model's edges.
+    /// The same equivalence holds across the sharded fan-out: N shards
+    /// together still hold exactly the model's edges.
     #[test]
-    fn sharded_pooled_matches_sharded_pool_off(
+    fn sharded_graph_matches_the_set_model(
         ops in prop::collection::vec(op_strategy(48, 30), 1..60),
         shards in 1usize..5
     ) {
         let config = CuckooGraphConfig::default()
             .with_lcht_base_len(4)
             .with_scht_base_len(4);
-        let mut pooled = ShardedCuckooGraph::with_config(shards, config);
+        let mut graph = ShardedCuckooGraph::with_config(shards, config);
         let mut model = Model::default();
 
         for op in &ops {
             let (insert, edges) = edges_of(op, 30);
             if insert {
-                prop_assert_eq!(pooled.insert_edges(&edges), model.insert(&edges));
+                prop_assert_eq!(graph.insert_edges(&edges), model.insert(&edges));
             } else {
-                prop_assert_eq!(pooled.remove_edges(&edges), model.remove(&edges));
+                prop_assert_eq!(graph.remove_edges(&edges), model.remove(&edges));
             }
         }
 
-        let a: BTreeSet<(NodeId, NodeId)> = pooled.par_edges().into_iter().collect();
+        let a: BTreeSet<(NodeId, NodeId)> = graph.par_edges().into_iter().collect();
         prop_assert_eq!(&a, &model.edges);
-        check_shape_against_model(&pooled.stats(), &model, shards);
+        check_shape_against_model(&graph.stats(), &model, shards);
     }
 
-    /// Satellite 2 pin: capacity-derived aggregates count **live** tables
-    /// only. Recycled buffers carry excess `Vec` capacity, and before PR 6's
-    /// fix a capacity-based `lcht_cells` would have inflated under pooled
-    /// reuse, deflating the loading rate. After arbitrary churn the cell and
-    /// slot counts must stay within the geometry the model's node and edge
-    /// counts allow, and the loading rate must be exactly nodes / cells.
+    /// Capacity-derived aggregates count **live** tables only. After
+    /// arbitrary churn the cell and slot counts must stay within the geometry
+    /// the model's node and edge counts allow, and the loading rate must be
+    /// exactly nodes / cells.
     #[test]
-    fn loading_rate_reflects_live_tables_after_pooled_churn(
+    fn loading_rate_reflects_live_tables_after_churn(
         ops in prop::collection::vec(op_strategy(32, 24), 1..100)
     ) {
         let config = CuckooGraphConfig::default()
             .with_lcht_base_len(4)
             .with_scht_base_len(4);
-        let mut pooled = CuckooGraph::with_config(config);
+        let mut graph = CuckooGraph::with_config(config);
         let mut model = Model::default();
         for op in &ops {
             let (insert, edges) = edges_of(op, 24);
             if insert {
-                pooled.insert_edges(&edges);
+                graph.insert_edges(&edges);
                 model.insert(&edges);
             } else {
-                pooled.remove_edges(&edges);
+                graph.remove_edges(&edges);
                 model.remove(&edges);
             }
         }
-        check_shape_against_model(&pooled.stats(), &model, 1);
+        check_shape_against_model(&graph.stats(), &model, 1);
     }
 
     /// Arena compaction is a pure relayout: after random churn (which frees
@@ -317,19 +302,19 @@ proptest! {
 }
 
 /// The weighted variant shares the engine, but its payloads carry state the
-/// equivalence must also cover (weights survive pooled rebuilds bit-exactly).
+/// equivalence must also cover (weights survive rebuilds bit-exactly).
 #[test]
-fn weighted_pooled_matches_pool_off_oracle() {
+fn weighted_graph_matches_the_map_model() {
     let config = CuckooGraphConfig::default()
         .with_lcht_base_len(4)
         .with_scht_base_len(4);
-    let mut pooled = WeightedCuckooGraph::with_config(config);
+    let mut graph = WeightedCuckooGraph::with_config(config);
     let mut model: BTreeMap<(NodeId, NodeId), u64> = BTreeMap::new();
     let items: Vec<(NodeId, NodeId, u64)> = (0..6_000u64)
         .map(|i| (i % 40, (i * 7) % 90, i % 3 + 1))
         .collect();
-    // Several grow/shrink cycles: tables retired by one round's contractions
-    // must be reborn (from the pool) by the next round's expansions.
+    // Several grow/shrink cycles: every round's contractions free tables
+    // that the next round's expansions allocate again.
     for _ in 0..3 {
         let mut created = 0;
         for &(u, v, w) in &items {
@@ -339,19 +324,19 @@ fn weighted_pooled_matches_pool_off_oracle() {
             });
             *slot += w;
         }
-        assert_eq!(pooled.insert_weighted_edges(&items), created);
+        assert_eq!(graph.insert_weighted_edges(&items), created);
         for u in 0..40u64 {
             for v in (0..90u64).step_by(2) {
                 model.remove(&(u, v));
-                assert_eq!(pooled.delete_weighted(u, v, u64::MAX), 0);
-                assert_eq!(pooled.weight(u, v), 0);
+                assert_eq!(graph.delete_weighted(u, v, u64::MAX), 0);
+                assert_eq!(graph.weight(u, v), 0);
             }
         }
     }
-    assert_eq!(pooled.total_weight(), model.values().sum::<u64>());
-    assert_eq!(pooled.distinct_edge_count(), model.len());
+    assert_eq!(graph.total_weight(), model.values().sum::<u64>());
+    assert_eq!(graph.distinct_edge_count(), model.len());
     for u in 0..40u64 {
-        let mut a = pooled.weighted_successors(u);
+        let mut a = graph.weighted_successors(u);
         a.sort_unstable();
         let want: Vec<(NodeId, u64)> = model
             .range((u, 0)..=(u, NodeId::MAX))
@@ -359,39 +344,5 @@ fn weighted_pooled_matches_pool_off_oracle() {
             .collect();
         assert_eq!(a, want, "weighted successors of {u} diverge");
     }
-    let stats = pooled.stats();
-    assert!(
-        stats.pool_hits > 0,
-        "churn this heavy must recycle tables: {stats:?}"
-    );
-    assert_eq!(stats.edges, model.len());
-}
-
-/// Deterministic end-to-end pin of the pool's purpose: a grow/shrink cycle
-/// repeated many times must serve most table births from the pool (hits
-/// dominate misses) while retaining only the capped, honestly-reported
-/// buffers.
-#[test]
-fn churn_cycles_are_served_from_the_pool() {
-    let mut g = CuckooGraph::with_config(
-        CuckooGraphConfig::default()
-            .with_lcht_base_len(4)
-            .with_scht_base_len(4),
-    );
-    let edges: Vec<(NodeId, NodeId)> = (0..8u64)
-        .flat_map(|u| (0..200u64).map(move |v| (u, v)))
-        .collect();
-    for _ in 0..10 {
-        g.insert_edges(&edges);
-        g.remove_edges(&edges);
-    }
-    let s = g.stats();
-    assert!(
-        s.pool_hits > s.pool_misses,
-        "pool hits ({}) should dominate misses ({}) under cyclic churn",
-        s.pool_hits,
-        s.pool_misses
-    );
-    assert!(s.pool_retired > 0);
-    assert_eq!(g.edge_count(), 0);
+    assert_eq!(graph.stats().edges, model.len());
 }

@@ -1,8 +1,7 @@
-//! Property tests for the PR-7 concurrency layer: lock-free reads under
-//! ingest.
+//! Property tests for the concurrency layer: lock-free reads under ingest.
 //!
-//! The seqlock/epoch protocol changes *when* a query runs relative to a
-//! shard's writer (between mutation windows instead of after the whole
+//! The drained reader/writer handshake changes *when* a query runs relative
+//! to a shard's writer (between mutation windows instead of after the whole
 //! batch), never *what* either side computes — so three equivalences must
 //! hold under randomized insert/delete/expand/contract interleavings:
 //!
@@ -18,15 +17,20 @@
 //!    model driven by the same batches holds, with identical structural
 //!    stats.
 //!
+//! Underneath all three sits the exclusion itself — no reader is inside a
+//! shard while a mutation window is open, and vice versa — which is what
+//! lets a window free the tables and segments it replaces on the spot;
+//! `writers_and_readers_exclude_each_other` pins it on a probe engine.
+//!
 //! Plus honest accounting: epoch advances equal the number of mutation
 //! windows the batches mathematically must open, and reader pins equal the
 //! reads issued.
 
-use cuckoograph::{CuckooGraph, CuckooGraphConfig, NodeId, ShardedCuckooGraph};
+use cuckoograph::{CuckooGraph, CuckooGraphConfig, NodeId, Sharded, ShardedCuckooGraph};
 use graph_api::DynamicGraph;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Churn batch sizes stay well past one ingest chunk (512) so every run
 /// opens several mutation windows per batch.
@@ -157,7 +161,7 @@ proptest! {
 
     /// The shared (`&self`) surface and the classic `&mut` surface both
     /// produce exactly the edge set of a `BTreeSet` model fed the same
-    /// batches, with the same op return values and (modulo the read/epoch
+    /// batches, with the same op return values and (modulo the read/window
     /// counter block) identical stats.
     #[test]
     fn shared_surface_is_pinned_to_the_exclusive_path(
@@ -193,34 +197,21 @@ proptest! {
             prop_assert_eq!(&ours, &want, "{} edge set diverged from the model", name);
         }
 
-        // Structural stats agree too, once the counters that legitimately
-        // differ are neutralised: the read/epoch block, the deferral
-        // routing, and the pool hit/miss split (a quarantined buffer is not
-        // reusable until its window closes, so the concurrent path may miss
-        // where the direct path hits — `pool_retired` still counts the same
-        // TRANSFORMATION events either way).
+        // Structural stats agree in every field but the read/window counter
+        // block: a window frees what it replaces exactly as the exclusive
+        // path does, so memory and segment accounting match to the byte.
         let mut a = concurrent.stats();
         let mut c = exclusive.stats();
         for s in [&mut a, &mut c] {
             s.reader_retries = 0;
             s.read_pins = 0;
             s.epoch_advances = 0;
-            s.pool_deferred = 0;
-            s.pool_reclaimed = 0;
-            s.pool_deferred_pending = 0;
-            s.pool_hits = 0;
-            s.pool_misses = 0;
-            s.pool_retained_bytes = 0;
-            // The scan arena's private pool quarantines under concurrent
-            // writes too, so its retained bytes differ the same way; the
-            // segment tombstone/compaction counters stay compared.
-            s.segment_bytes = 0;
         }
         prop_assert_eq!(&a, &c, "concurrent vs exclusive stats");
     }
 }
 
-/// Epoch and pin accounting is exact, not advisory: a single-shard graph
+/// Window and pin accounting is exact, not advisory: a single-shard graph
 /// opens precisely `ceil(batch / 512)` mutation windows per shared-surface
 /// batch, and every view read pins exactly once.
 #[test]
@@ -259,6 +250,72 @@ fn serial_engine_reports_zero_concurrency_counters() {
     assert_eq!(s.read_pins, 0);
     assert_eq!(s.reader_retries, 0);
     assert_eq!(s.epoch_advances, 0);
-    assert_eq!(s.pool_deferred, 0);
-    assert_eq!(s.pool_deferred_pending, 0);
+}
+
+/// A shard "engine" that only records who is inside it.
+#[derive(Default)]
+struct Probe {
+    inside_read: AtomicUsize,
+    inside_write: AtomicBool,
+}
+
+/// The property every on-the-spot free stands on: a reader never runs while
+/// a mutation window is open, and a window never opens over a pinned reader.
+/// Both sides yield inside their section so the other side gets scheduled
+/// there even on a single core.
+#[test]
+fn writers_and_readers_exclude_each_other() {
+    const ROUNDS: usize = 4_000;
+    let g = Sharded::from_shards(vec![Probe::default()]);
+    let start = std::sync::Barrier::new(3);
+    let writer_done = AtomicBool::new(false);
+    let reader_saw_writer = AtomicUsize::new(0);
+    let writer_saw_reader = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let view = g.read_view();
+                start.wait();
+                let mut rounds = 0;
+                while rounds < ROUNDS || !writer_done.load(Ordering::SeqCst) {
+                    view.with_shard(0, |p| {
+                        p.inside_read.fetch_add(1, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        if p.inside_write.load(Ordering::SeqCst) {
+                            reader_saw_writer.fetch_add(1, Ordering::SeqCst);
+                        }
+                        p.inside_read.fetch_sub(1, Ordering::SeqCst);
+                    });
+                    rounds += 1;
+                }
+            });
+        }
+        scope.spawn(|| {
+            start.wait();
+            for _ in 0..ROUNDS {
+                g.update_shard(0, |p| {
+                    p.inside_write.store(true, Ordering::SeqCst);
+                    std::thread::yield_now();
+                    if p.inside_read.load(Ordering::SeqCst) > 0 {
+                        writer_saw_reader.fetch_add(1, Ordering::SeqCst);
+                    }
+                    p.inside_write.store(false, Ordering::SeqCst);
+                });
+            }
+            writer_done.store(true, Ordering::SeqCst);
+        });
+    });
+
+    assert_eq!(
+        reader_saw_writer.load(Ordering::SeqCst),
+        0,
+        "a reader ran inside an open mutation window"
+    );
+    assert_eq!(
+        writer_saw_reader.load(Ordering::SeqCst),
+        0,
+        "a mutation window opened over a pinned reader"
+    );
+    assert_eq!(g.read_counters().epoch_advances, ROUNDS as u64);
 }

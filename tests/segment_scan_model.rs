@@ -208,9 +208,9 @@ proptest! {
     }
 
     /// The sharded fan-out preserves the equivalence: per-shard engines own
-    /// independent scan arenas, and the shared ingest surface (mutation
-    /// windows, epoch-stamped retirement through the scan arena's private
-    /// pool) lands on the model's graph too.
+    /// independent scan arenas, and the shared ingest surface (segments
+    /// grown and freed inside mutation windows) lands on the model's graph
+    /// too.
     #[test]
     fn sharded_segments_match_table_walk_oracle(
         seed in 1u64..500,
@@ -223,8 +223,8 @@ proptest! {
         for op in &ops {
             prop_assert_eq!(apply(&mut g, op), model.apply(op), "{:?}", op);
         }
-        // Push one batch through the shared (epoch-windowed) surface too, so
-        // segment retirement under a concurrent write section is exercised.
+        // Push one batch through the shared (windowed) surface too, so
+        // segment growth under a concurrent write section is exercised.
         let wave: Vec<(NodeId, NodeId)> = (0..900u64).map(|i| (i % SOURCES, i % TARGETS)).collect();
         prop_assert_eq!(g.ingest_batch(&wave), model.insert(&wave));
         prop_assert_eq!(g.remove_batch(&wave[..600]), model.remove(&wave[..600]));
