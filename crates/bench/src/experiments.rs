@@ -12,11 +12,10 @@ use crate::workload::{
 };
 use crate::HARNESS_SEED;
 use cuckoograph::chain::{ChainParams, TableChain};
-use cuckoograph::{CuckooGraph, CuckooGraphConfig, ShardedCuckooGraph, WeightedCuckooGraph};
+use cuckoograph::{CuckooGraph, CuckooGraphConfig, ShardedCuckooGraph};
 use graph_analytics as analytics;
-use graph_api::{DynamicGraph, MemoryFootprint, NodeId, WeightedDynamicGraph};
+use graph_api::{DynamicGraph, MemoryFootprint, NodeId};
 use graph_datasets::{compute_stats, generate, DatasetKind};
-use graph_durability::{DurabilityConfig, DurableGraphStore, GraphOp, StdVfs, SyncPolicy};
 use graphdb::PropertyGraph;
 use kvstore::{CuckooGraphModule, Reply, Server};
 use std::time::Instant;
@@ -147,12 +146,6 @@ pub enum Experiment {
     /// Expand/contract-heavy churn: interleaved bulk insert/delete waves per
     /// scheme.
     Churn,
-    /// Durability lifecycle: ingest under each AOF sync policy (plus the
-    /// AOF-off baseline), then kill-free recovery time from log and snapshot.
-    Recover,
-    /// Pipelined concurrent serving: loopback connections × pipeline-depth
-    /// sweep against the reactor.
-    Serve,
 }
 
 impl Experiment {
@@ -185,8 +178,6 @@ impl Experiment {
             BatchInsert,
             Shards,
             Churn,
-            Recover,
-            Serve,
         ]
     }
 
@@ -218,8 +209,6 @@ impl Experiment {
             Experiment::BatchInsert => "batch",
             Experiment::Shards => "shards",
             Experiment::Churn => "churn",
-            Experiment::Recover => "recover",
-            Experiment::Serve => "serve",
         }
     }
 
@@ -256,10 +245,6 @@ impl Experiment {
             Experiment::BatchInsert => "batched vs per-edge insertion throughput",
             Experiment::Shards => "sharded ingest scaling across shard counts",
             Experiment::Churn => "expand/contract churn: bulk insert/delete waves per scheme",
-            Experiment::Recover => {
-                "durability lifecycle: ingest per AOF sync policy, then recovery time"
-            }
-            Experiment::Serve => "pipelined serving: connections x depth sweep against the reactor",
         }
     }
 
@@ -291,8 +276,6 @@ impl Experiment {
             Experiment::BatchInsert => batch_insert(scale),
             Experiment::Shards => shards_scaling(scale),
             Experiment::Churn => churn_waves(scale),
-            Experiment::Recover => recover(scale),
-            Experiment::Serve => serve(scale),
         }
     }
 }
@@ -1100,139 +1083,6 @@ fn churn_waves(scale: f64) -> ExperimentReport {
 }
 
 // ---------------------------------------------------------------------------
-// Durability (recover)
-// ---------------------------------------------------------------------------
-
-/// Ops per append batch in the recover experiment — one log frame per batch,
-/// so `Always` pays one fsync per 1024 ops (group commit), not per op.
-const RECOVER_BATCH: usize = 1024;
-
-/// The durability lifecycle experiment: the same op stream is ingested into a
-/// [`DurableGraphStore`] under each AOF sync policy (plus a no-durability
-/// in-memory baseline), the store is dropped without a clean shutdown, and a
-/// reopen measures recovery. A final row snapshots mid-stream so recovery
-/// loads the snapshot and replays only the log suffix.
-fn recover(scale: f64) -> ExperimentReport {
-    let total = ((2_000_000.0 * scale) as usize).max(4 * RECOVER_BATCH);
-    let nodes = (total / 8).max(64) as NodeId;
-    let ops: Vec<GraphOp> = (0..total as NodeId)
-        .map(|i| GraphOp::Insert {
-            u: i % nodes,
-            v: (i.wrapping_mul(2_654_435_761) + 1) % nodes,
-            w: 1 + i % 4,
-        })
-        .collect();
-
-    // In-memory baseline: the same stream with no log in the write path.
-    let mut baseline = WeightedCuckooGraph::new();
-    let start = Instant::now();
-    for op in &ops {
-        if let GraphOp::Insert { u, v, w } = *op {
-            baseline.insert_weighted(u, v, w.max(1));
-        }
-    }
-    let base_mops = total as f64 / start.elapsed().as_secs_f64() / 1e6;
-    let live_edges = baseline.edge_count();
-
-    let mut rows = vec![vec![
-        "off (in-memory)".into(),
-        fmt(base_mops),
-        "1.00x".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]];
-
-    let policies = [
-        ("never", SyncPolicy::Never, false),
-        ("everysec", SyncPolicy::EverySecond, false),
-        ("always", SyncPolicy::Always, false),
-        ("always + snapshot", SyncPolicy::Always, true),
-    ];
-    for (label, policy, snapshot) in policies {
-        let dir = std::env::temp_dir()
-            .join(format!(
-                "cuckoograph-bench-recover-{}-{}",
-                std::process::id(),
-                label.replace([' ', '+'], "")
-            ))
-            .to_string_lossy()
-            .into_owned();
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = || DurabilityConfig::new(&dir).with_sync_policy(policy);
-
-        let (mut store, _) =
-            DurableGraphStore::open(StdVfs, cfg(), WeightedCuckooGraph::new).expect("fresh open");
-        let start = Instant::now();
-        for (k, chunk) in ops.chunks(RECOVER_BATCH).enumerate() {
-            store.apply(chunk).expect("append + apply");
-            // Mid-stream snapshot: recovery replays only the suffix after it.
-            if snapshot && k == total / RECOVER_BATCH / 2 {
-                store.save_snapshot().expect("snapshot");
-            }
-        }
-        let mops = total as f64 / start.elapsed().as_secs_f64() / 1e6;
-        let log_bytes = store.aof_offset();
-        assert_eq!(
-            store.graph().edge_count(),
-            live_edges,
-            "{label}: live state diverged"
-        );
-        drop(store); // no clean shutdown: recovery starts from whatever is on disk
-
-        let start = Instant::now();
-        let (recovered, report) =
-            DurableGraphStore::open(StdVfs, cfg(), WeightedCuckooGraph::new).expect("recover");
-        let recover_ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            recovered.graph().edge_count(),
-            live_edges,
-            "{label}: recovered state diverged"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-
-        rows.push(vec![
-            label.into(),
-            fmt(mops),
-            format!("{:.2}x", mops / base_mops.max(f64::MIN_POSITIVE)),
-            log_bytes.to_string(),
-            format!("{:?}", report.source),
-            report.ops_replayed.to_string(),
-            format!("{recover_ms:.1}"),
-        ]);
-    }
-
-    ExperimentReport {
-        id: "recover".into(),
-        tables: vec![ReportTable {
-            title: format!(
-                "Durability lifecycle — {total} weighted inserts in {RECOVER_BATCH}-op \
-                 batches, kill (drop without shutdown), reopen"
-            ),
-            headers: vec![
-                "Policy".into(),
-                "Ingest (Mops)".into(),
-                "vs off".into(),
-                "Log bytes".into(),
-                "Recovered from".into(),
-                "Ops replayed".into(),
-                "Recovery (ms)".into(),
-            ],
-            rows,
-        }],
-        notes: vec![
-            "Every durable row recovers the exact live edge count (asserted). `Never` \
-             leaves syncing to the OS, `EverySecond` bounds loss to ~1s, `Always` \
-             fsyncs once per batch. The snapshot row recovers from the newest \
-             snapshot and replays only the log suffix, so its ops-replayed column \
-             drops to roughly half the stream."
-                .into(),
-        ],
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Integrations (Figures 17–18)
 // ---------------------------------------------------------------------------
 
@@ -1399,55 +1249,6 @@ fn graphdb_comparison(scale: f64) -> ExperimentReport {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined concurrent serving
-// ---------------------------------------------------------------------------
-
-fn serve(scale: f64) -> ExperimentReport {
-    let sweep = crate::serve::ServeSweep::at_scale(scale);
-    let points = crate::serve::run_serve_sweep(&sweep);
-    let rows = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.connections.to_string(),
-                p.depth.to_string(),
-                p.ops.to_string(),
-                fmt(p.kops),
-                format!("{:.1}", p.p50_us),
-                format!("{:.1}", p.p99_us),
-            ]
-        })
-        .collect();
-    ExperimentReport {
-        id: "serve".into(),
-        tables: vec![ReportTable {
-            title: format!(
-                "Pipelined concurrent serving — {} preloaded edges, {} ops/conn, \
-                 {}% writes, {} reactor workers, loopback TCP",
-                sweep.preload_edges, sweep.ops_per_conn, sweep.write_pct, sweep.workers
-            ),
-            headers: vec![
-                "Conns".into(),
-                "Depth".into(),
-                "Ops".into(),
-                "kops/s".into(),
-                "p50 burst (us)".into(),
-                "p99 burst (us)".into(),
-            ],
-            rows,
-        }],
-        notes: vec![
-            "The reactor answers graph reads inline on the workers from sharded read \
-             views and group-commits writes in batches. Depth 1 measures ping-pong RTT; \
-             latency percentiles are per burst of `depth` commands, so deeper points \
-             trade per-burst latency for throughput. On single-core runners the \
-             reactor's workers, writer and the clients time-slice one CPU."
-                .into(),
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1564,35 +1365,6 @@ mod tests {
             let v: f64 = row[1].parse().unwrap();
             assert!(v > 0.0, "non-positive churn throughput: {row:?}");
         }
-    }
-
-    #[test]
-    fn recover_report_covers_every_policy_and_replays_the_log() {
-        let report = recover(TEST_SCALE);
-        let rows = &report.tables[0].rows;
-        assert_eq!(rows.len(), 5, "baseline + 4 durable rows: {rows:?}");
-        assert!(rows[0][0].starts_with("off"));
-        for row in &rows[1..] {
-            let mops: f64 = row[1].parse().unwrap();
-            let bytes: u64 = row[3].parse().unwrap();
-            let ms: f64 = row[6].parse().unwrap();
-            assert!(mops > 0.0, "non-positive ingest Mops: {row:?}");
-            assert!(bytes > 8, "empty log after ingest: {row:?}");
-            assert!(ms >= 0.0, "negative recovery time: {row:?}");
-        }
-        // Log-only rows replay the full stream; the snapshot row replays a
-        // strict suffix of it.
-        let full: u64 = rows[1][5].parse().unwrap();
-        let snap_row = rows.last().unwrap();
-        assert!(
-            snap_row[4].contains("Snapshot"),
-            "snapshot row source: {snap_row:?}"
-        );
-        let suffix: u64 = snap_row[5].parse().unwrap();
-        assert!(
-            suffix < full,
-            "snapshot row replayed the whole log: {rows:?}"
-        );
     }
 
     #[test]

@@ -13,12 +13,10 @@
 
 pub mod experiments;
 pub mod schemes;
-pub mod serve;
 pub mod workload;
 
 pub use experiments::{Experiment, ExperimentReport, ReportTable, SHARD_SWEEP};
 pub use schemes::SchemeKind;
-pub use serve::{run_serve_point, run_serve_sweep, ServePoint, ServeSweep};
 pub use workload::{
     run_batched_inserts, run_churn_waves, run_deletes, run_inserts, run_queries,
     run_successor_scans, Mops,

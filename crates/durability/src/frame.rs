@@ -21,8 +21,6 @@ use crate::io::{DurabilityError, Result};
 pub const AOF_MAGIC: &[u8; 8] = b"CKGRAOF1";
 /// Magic header of a snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CKGRSNP1";
-/// Magic header of a kvstore command log.
-pub const KV_AOF_MAGIC: &[u8; 8] = b"CKKVAOF1";
 
 /// Frames above this payload size are rejected as corruption — a garbage
 /// length field must not trigger a multi-gigabyte allocation.

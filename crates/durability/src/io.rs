@@ -98,7 +98,7 @@ pub trait DurableFile {
 /// The filesystem surface behind the durability layer.
 pub trait Vfs {
     /// Handle type returned by [`Vfs::open_append`] / [`Vfs::create`].
-    type File: DurableFile;
+    type File: DurableFile + fmt::Debug;
 
     /// Opens `path` for appending, creating it empty if missing.
     fn open_append(&self, path: &str) -> Result<Self::File>;

@@ -153,10 +153,10 @@ pub enum SyncPolicy {
 /// Appends checksummed frames to an op log file under a [`SyncPolicy`].
 ///
 /// The writer is format-agnostic at the frame level
-/// ([`AofWriter::append_payload`]); [`AofWriter::append_ops`] is the graph-op
-/// convenience. It never panics on I/O failure: write errors propagate typed,
-/// sync failures follow the policy (surface on `Always`, count-and-continue
-/// otherwise).
+/// ([`AofWriter::append_payloads`]); [`AofWriter::append_ops`] is the
+/// graph-op convenience. It never panics on I/O failure: write errors
+/// propagate typed, sync failures follow the policy (surface on `Always`,
+/// count-and-continue otherwise).
 #[derive(Debug)]
 pub struct AofWriter<F> {
     file: F,
@@ -202,24 +202,10 @@ impl<F: DurableFile> AofWriter<F> {
         &mut self.stats
     }
 
-    /// Appends one framed `payload` and applies the sync policy. Returns the
-    /// new end offset.
-    pub fn append_payload(&mut self, payload: &[u8]) -> Result<u64> {
-        let mut frame = Vec::with_capacity(payload.len() + crate::frame::FRAME_HEADER_LEN);
-        encode_frame(payload, &mut frame);
-        self.file.write_all(&frame)?;
-        self.offset += frame.len() as u64;
-        self.stats.aof_frames_appended += 1;
-        self.stats.aof_bytes_appended += frame.len() as u64;
-        self.dirty_since_sync = true;
-        self.apply_sync_policy()?;
-        Ok(self.offset)
-    }
-
-    /// Appends several framed payloads as one group commit: every frame is
-    /// encoded into a single buffered write and the sync policy is applied
-    /// once for the whole group instead of per frame — under
-    /// [`SyncPolicy::Always`] a batch of N commands costs one fsync, not N.
+    /// Appends framed payloads as one group commit: every frame is encoded
+    /// into a single buffered write and the sync policy is applied once for
+    /// the whole group instead of per frame — under [`SyncPolicy::Always`] a
+    /// batch of N commands costs one fsync, not N.
     /// Returns the new end offset (unchanged for an empty batch).
     pub fn append_payloads<'a>(
         &mut self,
@@ -245,7 +231,7 @@ impl<F: DurableFile> AofWriter<F> {
 
     /// Appends a batch of graph ops as one frame. Returns the new end offset.
     pub fn append_ops(&mut self, ops: &[GraphOp]) -> Result<u64> {
-        let offset = self.append_payload(&encode_ops(ops))?;
+        let offset = self.append_payloads([encode_ops(ops).as_slice()])?;
         self.stats.aof_ops_appended += ops.len() as u64;
         Ok(offset)
     }

@@ -1,18 +1,21 @@
-//! Point-in-time snapshots: every stored edge record, compactly varint-coded
-//! into per-shard sections.
+//! Point-in-time snapshots: one container of checksummed sections for every
+//! durable state.
 //!
 //! ```text
 //! [magic "CKGRSNP1"][section_count: u32 LE][crc32(section_count): u32 LE]
-//! [section frame]*                     -- one checksummed frame per shard
+//! [section frame]*                     -- one checksummed frame per section
 //! ```
 //!
-//! Each section payload is `varint record_count` followed by records
-//! `varint source, varint target, varint weight, varint multiplicity`.
-//! Sections map 1:1 onto shards, so a `Sharded<G>` encodes them in parallel
-//! (`par_map_shards`) and a serial graph writes exactly one. The file is
-//! committed with the temp-file + atomic-rename dance; the reader is always
-//! strict — a snapshot that fails any checksum is rejected wholesale and the
-//! store falls back to an older generation (or a full AOF replay).
+//! The container treats sections as opaque; the state encodes and decodes
+//! them. A graph engine writes one section per shard, each `varint
+//! record_count` followed by records `varint source, varint target, varint
+//! weight, varint multiplicity` ([`encode_records`]) — so a `Sharded<G>`
+//! encodes them in parallel (`par_map_shards`) and a serial graph writes
+//! exactly one. The kvstore writes one section holding its RDB image. The
+//! file is committed with the temp-file + atomic-rename dance; the reader is
+//! always strict — a snapshot that fails any checksum, or whose sections the
+//! state rejects, is rejected wholesale and the store falls back to an older
+//! generation (or a full AOF replay).
 
 use graph_api::EdgeRecord;
 
@@ -86,11 +89,12 @@ pub fn write_snapshot<V: Vfs>(
     Ok(image.len() as u64)
 }
 
-/// Reads and fully validates the snapshot at `path`, returning one record
-/// vector per section (shard). Any corruption — header, count checksum,
-/// section checksum, undecodable record — is a typed error; the caller falls
-/// back to an older generation.
-pub fn read_snapshot<V: Vfs>(vfs: &V, path: &str) -> Result<Vec<Vec<EdgeRecord>>> {
+/// Reads and validates the snapshot container at `path`, returning each
+/// section payload. Any corruption — header, count checksum, section
+/// checksum, section count — is a typed error; the caller falls back to an
+/// older generation. Decoding the payloads is the state's job
+/// ([`crate::DurableState::load_sections`]).
+pub fn read_snapshot<V: Vfs>(vfs: &V, path: &str) -> Result<Vec<Vec<u8>>> {
     let bytes = vfs.read(path)?;
     let corrupt = |offset: u64, detail: &str| DurabilityError::Corrupt {
         path: path.to_string(),
@@ -114,23 +118,9 @@ pub fn read_snapshot<V: Vfs>(vfs: &V, path: &str) -> Result<Vec<Vec<EdgeRecord>>
     let section_count = u32::from_le_bytes(count_bytes) as usize;
 
     let mut sections = Vec::with_capacity(section_count);
-    let mut decode_failure = None;
-    scan_frames(
-        &bytes,
-        16,
-        RecoveryMode::Strict,
-        path,
-        |payload| match decode_records(payload) {
-            Some(records) => sections.push(records),
-            None => decode_failure = Some(sections.len()),
-        },
-    )?;
-    if let Some(idx) = decode_failure {
-        return Err(corrupt(
-            16,
-            &format!("undecodable records in section {idx}"),
-        ));
-    }
+    scan_frames(&bytes, 16, RecoveryMode::Strict, path, |payload| {
+        sections.push(payload.to_vec())
+    })?;
     if sections.len() != section_count {
         return Err(corrupt(
             16,
@@ -170,7 +160,9 @@ mod tests {
         assert!(bytes > 0);
         assert!(!vfs.exists("snap.tmp"));
         let back = read_snapshot(&vfs, "snap").unwrap();
-        assert_eq!(back, vec![a, b, c]);
+        assert_eq!(back, sections);
+        let decoded: Vec<_> = back.iter().map(|s| decode_records(s).unwrap()).collect();
+        assert_eq!(decoded, vec![a, b, c]);
     }
 
     #[test]

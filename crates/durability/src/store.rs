@@ -1,5 +1,13 @@
-//! [`DurableGraphStore`]: the orchestrator tying the op log, snapshots, and
-//! the manifest into one crash-recoverable graph.
+//! [`DurableGraphStore`]: the one crash-recovery lifecycle in the workspace,
+//! tying the log, snapshots, and the manifest into one crash-recoverable
+//! state.
+//!
+//! The store owns everything about *when* bytes move — recovery-open,
+//! write-ahead append, snapshot generations, log rewrite — and a
+//! [`DurableState`] impl owns *what* they mean: file names and log magic,
+//! replaying one frame, the snapshot sections, the frames of a rewrite. The
+//! graph engines implement it through [`DurableGraph`] (varint [`GraphOp`]
+//! batches); the kvstore's server implements it with its command codec.
 //!
 //! # Correctness invariant
 //!
@@ -15,33 +23,64 @@
 //!
 //! Because weighted deltas are not idempotent, snapshot-based recovery always
 //! resumes replay at the manifest-recorded offset — never before it.
+//!
+//! A failed append is cut back off the log before anything else is written,
+//! so no later frame ever lands behind a torn one (where recovery's
+//! truncate-at-the-first-bad-frame would drop it); when even that cut fails,
+//! the store refuses every append until it is reopened.
 
-use graph_api::{DynamicGraph, EdgeExport, EdgeImport, EdgeRecord, WeightedDynamicGraph};
+use graph_api::{DynamicGraph, EdgeExport, EdgeImport, WeightedDynamicGraph};
 
 use cuckoograph::{CuckooGraph, Sharded, WeightedCuckooGraph};
 
-use crate::frame::{check_header, encode_frame, scan_frames, HeaderState, RecoveryMode, AOF_MAGIC};
+use crate::frame::{
+    check_header, encode_frame, scan_frames, HeaderState, RecoveryMode, AOF_MAGIC, FRAME_HEADER_LEN,
+};
 use crate::io::{DurabilityError, DurableFile, Result, Vfs};
 use crate::manifest::{Generation, Manifest};
 use crate::oplog::{decode_ops, encode_ops, AofWriter, GraphOp, SyncPolicy};
-use crate::snapshot::{encode_records, read_snapshot, write_snapshot};
+use crate::snapshot::{decode_records, encode_records, read_snapshot, write_snapshot};
 use crate::stats::DurabilityStats;
 
-/// AOF file name inside the durability directory.
+/// Graph op log file name inside the durability directory.
 pub const AOF_FILE: &str = "graph.aof";
-const AOF_TMP: &str = "graph.aof.tmp";
 /// Manifest file name.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 const MANIFEST_TMP: &str = "MANIFEST.tmp";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
-/// Ops per frame when a rewrite serialises live state back into the log.
+/// Ops per frame when a rewrite serialises live graph state back into the log.
 const REWRITE_FRAME_OPS: usize = 4096;
 
-fn snapshot_file(epoch: u64) -> String {
-    format!("snap-{epoch:06}.ckg")
+/// The codec half of a durable state: everything [`DurableGraphStore`] needs
+/// to know about what it logs, snapshots, and recovers.
+pub trait DurableState {
+    /// Log file name inside the durability directory.
+    const LOG_FILE: &'static str;
+    /// Magic header of the log file.
+    const LOG_MAGIC: &'static [u8; 8];
+
+    /// Snapshot file name of generation `epoch`.
+    fn snapshot_file(epoch: u64) -> String;
+
+    /// Applies one checksummed log frame (the replay path). Returns the ops
+    /// it held, or `None` if the payload does not decode — corruption the
+    /// checksum could not see, which recovery treats like a torn frame.
+    fn replay_frame(&mut self, payload: &[u8]) -> Option<u64>;
+
+    /// The live state as snapshot section payloads.
+    fn save_sections(&self) -> Vec<Vec<u8>>;
+
+    /// Restores the state from snapshot sections, all-or-nothing: on `false`
+    /// the state is untouched and recovery tries an older generation.
+    fn load_sections(&mut self, sections: &[Vec<u8>]) -> bool;
+
+    /// Emits, in order, the frame payloads of a log that rebuilds the live
+    /// state from empty (the rewrite path).
+    fn rewrite_frames(&self, emit: &mut dyn FnMut(&[u8]));
 }
 
-/// A graph the durability layer can log, snapshot, and recover.
+/// A graph the durability layer can log, snapshot, and recover: its log
+/// frames are [`GraphOp`] batches and its snapshot sections edge records.
 ///
 /// Implementations exist for the serial and sharded basic/weighted engines.
 /// (The multi-edge graph exports/imports records but has no op-level durable
@@ -55,6 +94,56 @@ pub trait DurableGraph: EdgeExport + EdgeImport {
     /// sharded graphs override to encode per-shard sections in parallel.
     fn snapshot_sections(&self) -> Vec<Vec<u8>> {
         vec![encode_records(&self.edge_records())]
+    }
+}
+
+impl<G: DurableGraph> DurableState for G {
+    const LOG_FILE: &'static str = AOF_FILE;
+    const LOG_MAGIC: &'static [u8; 8] = AOF_MAGIC;
+
+    fn snapshot_file(epoch: u64) -> String {
+        format!("snap-{epoch:06}.ckg")
+    }
+
+    fn replay_frame(&mut self, payload: &[u8]) -> Option<u64> {
+        let mut ops = Vec::new();
+        let count = decode_ops(payload, &mut ops)?;
+        for op in &ops {
+            self.apply_op(op);
+        }
+        Some(count as u64)
+    }
+
+    fn save_sections(&self) -> Vec<Vec<u8>> {
+        self.snapshot_sections()
+    }
+
+    fn load_sections(&mut self, sections: &[Vec<u8>]) -> bool {
+        let Some(decoded) = sections
+            .iter()
+            .map(|s| decode_records(s))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return false;
+        };
+        for records in &decoded {
+            self.import_edge_records(records);
+        }
+        true
+    }
+
+    fn rewrite_frames(&self, emit: &mut dyn FnMut(&[u8])) {
+        let records = self.edge_records();
+        let mut ops = Vec::with_capacity(REWRITE_FRAME_OPS);
+        for chunk in records.chunks(REWRITE_FRAME_OPS) {
+            ops.clear();
+            ops.extend(chunk.iter().map(|r| GraphOp::Insert {
+                u: r.source,
+                v: r.target,
+                w: r.weight.max(1),
+            }));
+            emit(&encode_ops(&ops));
+        }
     }
 }
 
@@ -209,15 +298,20 @@ pub struct RecoveryReport {
     pub resume_offset: u64,
 }
 
-/// A graph paired with its durability machinery: every mutation goes through
-/// the op log first, snapshots and rewrites compact recovery, and
+/// A state paired with its durability machinery: every mutation goes through
+/// the log first, snapshots and rewrites compact recovery, and
 /// [`DurableGraphStore::open`] brings the pair back after any crash.
 #[derive(Debug)]
-pub struct DurableGraphStore<G, V: Vfs> {
-    graph: G,
+pub struct DurableGraphStore<S, V: Vfs> {
+    graph: S,
     vfs: V,
     cfg: DurabilityConfig,
     aof: AofWriter<V::File>,
+    /// A failed append left bytes past the writer's offset that could not be
+    /// cut off: a frame appended behind them would be invisible to recovery,
+    /// so every append is refused until reopen (or a rewrite replaces the
+    /// log).
+    torn_tail: bool,
     manifest: Manifest,
     next_epoch: u64,
     /// Log size right after the last rewrite or recovery — the growth base
@@ -225,21 +319,21 @@ pub struct DurableGraphStore<G, V: Vfs> {
     rewrite_base: u64,
 }
 
-impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
+impl<S: DurableState, V: Vfs> DurableGraphStore<S, V> {
     /// Opens (and if needed recovers) the store in `cfg.dir`. `make_graph`
-    /// builds the empty engine recovery fills.
+    /// builds the empty state recovery fills.
     pub fn open(
         vfs: V,
         cfg: DurabilityConfig,
-        make_graph: impl Fn() -> G,
+        make_graph: impl FnOnce() -> S,
     ) -> Result<(Self, RecoveryReport)> {
         vfs.create_dir_all(&cfg.dir)?;
         // A crash can strand temp files mid-commit; they are dead weight.
-        for tmp in [AOF_TMP, MANIFEST_TMP, SNAPSHOT_TMP] {
+        for tmp in [&log_tmp::<S>(), MANIFEST_TMP, SNAPSHOT_TMP] {
             let _ = vfs.remove(&cfg.path(tmp));
         }
 
-        let aof_path = cfg.path(AOF_FILE);
+        let aof_path = cfg.path(S::LOG_FILE);
         let existed = vfs.exists(&aof_path);
         let mut aof_bytes = if existed {
             vfs.read(&aof_path)?
@@ -247,7 +341,7 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
             Vec::new()
         };
         let mut fresh = !existed;
-        match check_header(&aof_bytes, AOF_MAGIC, cfg.recovery_mode, &aof_path)? {
+        match check_header(&aof_bytes, S::LOG_MAGIC, cfg.recovery_mode, &aof_path)? {
             HeaderState::Valid => {}
             HeaderState::Empty => fresh = true,
             HeaderState::TornHeader => {
@@ -267,27 +361,24 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
             .max()
             .unwrap_or(1);
 
-        // Newest usable snapshot generation, if any.
+        // Newest usable snapshot generation: offset plausible, file
+        // checksums, and the state accepts its sections (a kvstore module
+        // missing from `make_graph` skips the generation and degrades to log
+        // replay).
         let mut generations_skipped = 0u32;
         let mut base: Option<(u64, u64)> = None; // (epoch, resume offset)
         if !fresh {
             for gen in &manifest.generations {
                 let offset_plausible =
                     gen.aof_offset >= 8 && gen.aof_offset <= aof_bytes.len() as u64;
-                if !offset_plausible {
-                    generations_skipped += 1;
-                    continue;
+                let restored = offset_plausible
+                    && read_snapshot(&vfs, &cfg.path(&gen.snapshot))
+                        .is_ok_and(|sections| graph.load_sections(&sections));
+                if restored {
+                    base = Some((gen.epoch, gen.aof_offset));
+                    break;
                 }
-                match read_snapshot(&vfs, &cfg.path(&gen.snapshot)) {
-                    Ok(sections) => {
-                        for records in &sections {
-                            graph.import_edge_records(records);
-                        }
-                        base = Some((gen.epoch, gen.aof_offset));
-                        break;
-                    }
-                    Err(_) => generations_skipped += 1,
-                }
+                generations_skipped += 1;
             }
         }
 
@@ -303,21 +394,16 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
             // is untrusted.
             let mut decode_bad_at = None;
             let mut cursor = start;
-            let mut ops = Vec::new();
             let outcome =
                 scan_frames(&aof_bytes, start, cfg.recovery_mode, &aof_path, |payload| {
                     let frame_start = cursor;
-                    cursor += (crate::frame::FRAME_HEADER_LEN + payload.len()) as u64;
+                    cursor += (FRAME_HEADER_LEN + payload.len()) as u64;
                     if decode_bad_at.is_some() {
                         return;
                     }
-                    ops.clear();
-                    match decode_ops(payload, &mut ops) {
+                    match graph.replay_frame(payload) {
                         Some(count) => {
-                            for op in &ops {
-                                graph.apply_op(op);
-                            }
-                            ops_replayed += count as u64;
+                            ops_replayed += count;
                             frames_replayed += 1;
                         }
                         None => decode_bad_at = Some(frame_start),
@@ -329,7 +415,7 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
                     return Err(DurabilityError::Corrupt {
                         path: aof_path,
                         offset: bad_at,
-                        detail: "undecodable op batch in checksummed frame".to_string(),
+                        detail: "undecodable payload in checksummed frame".to_string(),
                     });
                 }
                 Some(bad_at) => bad_at,
@@ -343,7 +429,7 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
         // Resume appending: a fresh log starts with the magic header.
         let mut file = vfs.open_append(&aof_path)?;
         let resume_offset = if fresh {
-            file.write_all(AOF_MAGIC)?;
+            file.write_all(S::LOG_MAGIC)?;
             8
         } else {
             valid_len
@@ -369,6 +455,7 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
                 vfs,
                 cfg,
                 aof,
+                torn_tail: false,
                 manifest,
                 next_epoch,
                 rewrite_base: resume_offset,
@@ -377,14 +464,21 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
         ))
     }
 
-    /// The recovered/live graph.
-    pub fn graph(&self) -> &G {
+    /// The recovered/live state.
+    pub fn graph(&self) -> &S {
         &self.graph
+    }
+
+    /// Mutable state for a caller that logs its own frames: a change made
+    /// here is durable only if [`DurableGraphStore::append`] logged it first
+    /// (write-ahead order is the caller's contract).
+    pub fn graph_mut(&mut self) -> &mut S {
+        &mut self.graph
     }
 
     /// Consumes the store, returning the graph (the log handle is dropped
     /// unsynced — call [`DurableGraphStore::sync`] first if that matters).
-    pub fn into_graph(self) -> G {
+    pub fn into_graph(self) -> S {
         self.graph
     }
 
@@ -403,16 +497,42 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
         *self.aof.stats()
     }
 
-    /// Logs `ops`, then applies them to the graph (write-ahead order). The
-    /// returned error — e.g. a sync failure under [`SyncPolicy::Always`] —
-    /// does not roll the ops back: they are in the file image and in memory,
-    /// only their durability is in question.
-    pub fn apply(&mut self, ops: &[GraphOp]) -> Result<u64> {
-        let appended = self.aof.append_ops(ops);
-        for op in ops {
-            self.graph.apply_op(op);
+    /// Appends `payloads` as one group-committed write (one sync under
+    /// [`SyncPolicy::Always`]) — the write-ahead half of a mutation the
+    /// caller then applies through [`DurableGraphStore::graph_mut`]. Returns
+    /// the new log end.
+    pub fn append<'a>(&mut self, payloads: impl IntoIterator<Item = &'a [u8]>) -> Result<u64> {
+        self.append_with(|aof| aof.append_payloads(payloads))
+    }
+
+    /// Runs one writer append, repairing the log if its write failed.
+    fn append_with(
+        &mut self,
+        append: impl FnOnce(&mut AofWriter<V::File>) -> Result<u64>,
+    ) -> Result<u64> {
+        if self.torn_tail {
+            return Err(DurabilityError::Io {
+                op: "append",
+                path: self.cfg.path(S::LOG_FILE),
+                message: "a failed write could not be cut off the log; reopen to recover"
+                    .to_string(),
+            });
+        }
+        let end = self.aof.offset();
+        let appended = append(&mut self.aof);
+        // The writer advances its offset only past a completed write, so an
+        // error at an unmoved offset is a failed write — which may have left
+        // a torn prefix that the next frame must not land behind.
+        if appended.is_err() && self.aof.offset() == end {
+            self.torn_tail = self.vfs.truncate(&self.cfg.path(S::LOG_FILE), end).is_err();
         }
         appended
+    }
+
+    /// Clock-driven [`SyncPolicy::EverySecond`] flush for a serving loop
+    /// (see [`AofWriter::tick`]).
+    pub fn tick(&mut self) -> Result<()> {
+        self.aof.tick()
     }
 
     /// Explicitly fsyncs the log.
@@ -429,9 +549,9 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
         // exceeds the valid log length and recovery skips it.
         let _ = self.aof.sync();
         let offset = self.aof.offset();
-        let sections = self.graph.snapshot_sections();
+        let sections = self.graph.save_sections();
         let epoch = self.next_epoch;
-        let name = snapshot_file(epoch);
+        let name = S::snapshot_file(epoch);
         let bytes = write_snapshot(
             &self.vfs,
             &self.cfg.path(&name),
@@ -477,20 +597,11 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
     /// log + old manifest, old log + empty manifest, or new log + empty
     /// manifest. Returns the new log size.
     pub fn rewrite_aof(&mut self) -> Result<u64> {
-        let mut image = AOF_MAGIC.to_vec();
-        let records = self.graph.edge_records();
-        let mut ops = Vec::with_capacity(REWRITE_FRAME_OPS);
-        for chunk in records.chunks(REWRITE_FRAME_OPS.max(1)) {
-            ops.clear();
-            ops.extend(chunk.iter().map(|r: &EdgeRecord| GraphOp::Insert {
-                u: r.source,
-                v: r.target,
-                w: r.weight.max(1),
-            }));
-            encode_frame(&encode_ops(&ops), &mut image);
-        }
+        let mut image = S::LOG_MAGIC.to_vec();
+        self.graph
+            .rewrite_frames(&mut |payload| encode_frame(payload, &mut image));
 
-        let tmp = self.cfg.path(AOF_TMP);
+        let tmp = self.cfg.path(&log_tmp::<S>());
         let mut file = self.vfs.create(&tmp)?;
         file.write_all(&image)?;
         file.sync()?;
@@ -508,7 +619,7 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
             let _ = self.vfs.remove(&self.cfg.path(&gen.snapshot));
         }
 
-        let aof_path = self.cfg.path(AOF_FILE);
+        let aof_path = self.cfg.path(S::LOG_FILE);
         self.vfs.rename(&tmp, &aof_path)?;
 
         let file = self.vfs.open_append(&aof_path)?;
@@ -516,6 +627,7 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
         stats.aof_rewrites += 1;
         self.aof = AofWriter::new(file, self.cfg.sync_policy, image.len() as u64);
         *self.aof.stats_mut() = stats;
+        self.torn_tail = false;
         self.rewrite_base = image.len() as u64;
         Ok(image.len() as u64)
     }
@@ -535,6 +647,30 @@ impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
             Ok(false)
         }
     }
+}
+
+impl<G: DurableGraph, V: Vfs> DurableGraphStore<G, V> {
+    /// Logs `ops` as one frame, then applies them to the graph (write-ahead
+    /// order). Memory follows the file: the ops apply exactly when their
+    /// frame reached it, so a refused write changes nothing, while a sync
+    /// failure under [`SyncPolicy::Always`] returns its error with the ops
+    /// applied — they are in the file image, only their durability is in
+    /// question.
+    pub fn apply(&mut self, ops: &[GraphOp]) -> Result<u64> {
+        let end = self.aof.offset();
+        let appended = self.append_with(|aof| aof.append_ops(ops));
+        if self.aof.offset() > end {
+            for op in ops {
+                self.graph.apply_op(op);
+            }
+        }
+        appended
+    }
+}
+
+/// Temp name a log rewrite is staged under before its atomic rename.
+fn log_tmp<S: DurableState>() -> String {
+    format!("{}.tmp", S::LOG_FILE)
 }
 
 #[cfg(test)]
@@ -671,6 +807,44 @@ mod tests {
         drop(store);
         let (store, _) = DurableGraphStore::open(vfs, cfg(), CuckooGraph::new).unwrap();
         assert!(store.graph().has_edge(5, 6));
+    }
+
+    #[test]
+    fn failed_append_never_hides_later_acknowledged_writes() {
+        let frame_len = crate::frame::FRAME_HEADER_LEN + encode_ops(&[insert(3, 4)]).len();
+        for k in 0..frame_len {
+            // A short write tears the frame; the next append is acked.
+            let vfs = SimVfs::new();
+            let (mut store, _) =
+                DurableGraphStore::open(vfs.clone(), cfg(), CuckooGraph::new).unwrap();
+            store.apply(&[insert(1, 2)]).unwrap();
+            vfs.short_write_next(k);
+            assert!(store.apply(&[insert(3, 4)]).is_err(), "k={k}");
+            assert!(!store.graph().has_edge(3, 4), "k={k}: refused op applied");
+            store.apply(&[insert(5, 6)]).unwrap();
+            drop(store);
+            let (store, _) = DurableGraphStore::open(vfs, cfg(), CuckooGraph::new).unwrap();
+            assert!(store.graph().has_edge(1, 2), "k={k}");
+            assert!(!store.graph().has_edge(3, 4), "k={k}: refused op recovered");
+            assert!(store.graph().has_edge(5, 6), "k={k}: acked op lost");
+
+            // A kill mid-write also defeats the repair: every later append is
+            // refused until reopen, even once the disk is back.
+            let vfs = SimVfs::new();
+            let (mut store, _) =
+                DurableGraphStore::open(vfs.clone(), cfg(), CuckooGraph::new).unwrap();
+            store.apply(&[insert(1, 2)]).unwrap();
+            vfs.crash_after_bytes(k as u64);
+            assert!(store.apply(&[insert(3, 4)]).is_err(), "k={k}");
+            vfs.revive();
+            assert!(
+                store.apply(&[insert(5, 6)]).is_err(),
+                "k={k}: append behind a torn frame"
+            );
+            drop(store);
+            let (store, _) = DurableGraphStore::open(vfs, cfg(), CuckooGraph::new).unwrap();
+            assert_eq!(store.graph().edge_count(), 1, "k={k}");
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! * [`reactor`] — the pipelined concurrent serving front end: acceptor +
 //!   worker pool + single durable writer, with graph reads dispatched off the
 //!   write path onto sharded read views;
-//! * [`persist`] — [`DurableServer`]: a framed on-disk command log plus RDB
-//!   snapshots with crash recovery, built on the `graph-durability` crate;
+//! * [`persist`] — [`DurableServer`]: the command codec that runs the
+//!   server through the `graph-durability` store's crash lifecycle (command
+//!   log, RDB image snapshots, recovery, rewrite);
 //! * [`graph_module`] — the CuckooGraph module itself (§ V-F).
 //!
 //! The performance phenomenon the paper reports — module throughput being

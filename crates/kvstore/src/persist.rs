@@ -1,51 +1,36 @@
-//! Durable persistence for the kvstore: a framed command AOF plus RDB
-//! snapshots, built on the `graph-durability` machinery.
+//! Durable persistence for the kvstore: the command codec that puts a
+//! [`Server`] behind the `graph-durability` store.
 //!
-//! [`DurableServer`] wraps a [`Server`] and gives its command stream the same
-//! crash-safety contract the graph stores have:
+//! The crash lifecycle — write-ahead append under a
+//! [`SyncPolicy`](graph_durability::SyncPolicy), recovery from the newest
+//! valid snapshot generation with full log replay as the final fallback,
+//! torn-tail truncation, snapshot commit, log rewrite — is
+//! [`DurableGraphStore`]'s, the same code the graph engines run. This module
+//! supplies only what differs, as the [`DurableState`] impl for [`Server`]:
 //!
-//! * every write command is appended to a checksummed command log **before**
-//!   it executes (write-ahead order), under a
-//!   [`SyncPolicy`](graph_durability::SyncPolicy);
-//! * `SAVE` writes an RDB snapshot (temp file + atomic rename) and a manifest
-//!   generation tying it to the log offset replay resumes from;
-//! * `BGREWRITEAOF` rewrites the log from live state, clearing the manifest
-//!   first so no stale offset can point into the replaced file;
-//! * [`DurableServer::open`] recovers from the newest valid snapshot (older
-//!   generations on checksum failure, full replay as the final fallback) and
-//!   truncates a torn log tail instead of panicking.
+//! * the log is `commands.aof` (magic `CKKVAOF1`), one frame per write
+//!   command ([`encode_command`] / [`decode_command`]), replayed through
+//!   [`Server::execute`];
+//! * a snapshot (`dump-NNNNNN.rdb`) is the shared section container holding
+//!   one section, the [`Server::save_rdb`] image;
+//! * a rewrite emits the [`Server::aof_rewrite`] rebuild commands.
 //!
-//! The command log shares the durability layer's invariant: it is complete on
-//! its own, so losing every snapshot degrades to a full replay of the same
-//! state.
+//! [`DurableServer`] adds the command-level write path: write commands are
+//! logged before they execute (singly or as one group commit per batch),
+//! and `SAVE` / `BGREWRITEAOF` are intercepted as the store's snapshot and
+//! rewrite.
 
 use crate::module::Reply;
 use crate::server::Server;
-use graph_durability::frame::FRAME_HEADER_LEN;
 use graph_durability::oplog::{read_varint, write_varint};
-use graph_durability::store::{DurabilityConfig, RecoveryReport, RecoverySource};
 use graph_durability::{
-    check_header, encode_frame, scan_frames, AofWriter, DurabilityError, DurabilityStats,
-    DurableFile, Generation, HeaderState, Manifest, RecoveryMode, Result, Vfs, KV_AOF_MAGIC,
+    DurabilityConfig, DurabilityStats, DurableGraphStore, DurableState, RecoveryReport, Result, Vfs,
 };
 
 /// Command log file name inside the durability directory.
 pub const KV_AOF_FILE: &str = "commands.aof";
-const KV_AOF_TMP: &str = "commands.aof.tmp";
-/// Manifest file name.
-pub const KV_MANIFEST_FILE: &str = "MANIFEST";
-const KV_MANIFEST_TMP: &str = "MANIFEST.tmp";
-const KV_SNAPSHOT_TMP: &str = "dump.tmp";
-/// Magic header of a framed RDB snapshot file.
-pub const KV_RDB_MAGIC: &[u8; 8] = b"CKKVRDB1";
-
-fn snapshot_file(epoch: u64) -> String {
-    format!("dump-{epoch:06}.rdb")
-}
-
-fn path(cfg: &DurabilityConfig, name: &str) -> String {
-    format!("{}/{name}", cfg.dir.trim_end_matches('/'))
-}
+/// Magic header of the command log.
+pub const KV_AOF_MAGIC: &[u8; 8] = b"CKKVAOF1";
 
 /// Encodes one command word list as a log frame payload: varint argc, then
 /// varint-length-prefixed UTF-8 words.
@@ -75,54 +60,40 @@ pub fn decode_command(payload: &[u8]) -> Option<Vec<String>> {
     (pos == payload.len()).then_some(parts)
 }
 
-/// Writes the RDB image as a framed snapshot file (temp + fsync + rename).
-fn write_kv_snapshot<V: Vfs>(vfs: &V, dst: &str, tmp: &str, rdb: &[u8]) -> Result<u64> {
-    let mut image = KV_RDB_MAGIC.to_vec();
-    encode_frame(rdb, &mut image);
-    let mut file = vfs.create(tmp)?;
-    file.write_all(&image)?;
-    file.sync()?;
-    drop(file);
-    vfs.rename(tmp, dst)?;
-    Ok(image.len() as u64)
-}
+impl DurableState for Server {
+    const LOG_FILE: &'static str = KV_AOF_FILE;
+    const LOG_MAGIC: &'static [u8; 8] = KV_AOF_MAGIC;
 
-/// Reads and fully validates a framed RDB snapshot, returning the RDB bytes.
-fn read_kv_snapshot<V: Vfs>(vfs: &V, src: &str) -> Result<Vec<u8>> {
-    let bytes = vfs.read(src)?;
-    match check_header(&bytes, KV_RDB_MAGIC, RecoveryMode::Strict, src)? {
-        HeaderState::Valid => {}
-        HeaderState::Empty | HeaderState::TornHeader => {
-            return Err(DurabilityError::Corrupt {
-                path: src.to_string(),
-                offset: 0,
-                detail: "empty snapshot file".to_string(),
-            });
-        }
+    fn snapshot_file(epoch: u64) -> String {
+        format!("dump-{epoch:06}.rdb")
     }
-    let mut rdb = None;
-    scan_frames(&bytes, 8, RecoveryMode::Strict, src, |payload| {
-        if rdb.is_none() {
-            rdb = Some(payload.to_vec());
-        }
-    })?;
-    rdb.ok_or_else(|| DurabilityError::Corrupt {
-        path: src.to_string(),
-        offset: 8,
-        detail: "snapshot holds no frame".to_string(),
-    })
+
+    fn replay_frame(&mut self, payload: &[u8]) -> Option<u64> {
+        self.execute(&decode_command(payload)?);
+        Some(1)
+    }
+
+    fn save_sections(&self) -> Vec<Vec<u8>> {
+        vec![self.save_rdb()]
+    }
+
+    fn load_sections(&mut self, sections: &[Vec<u8>]) -> bool {
+        // `load_rdb` swaps the keyspace and graph in only once the whole
+        // image has decoded, so a rejected image leaves the server untouched.
+        matches!(sections, [rdb] if self.load_rdb(rdb).is_ok())
+    }
+
+    fn rewrite_frames(&self, emit: &mut dyn FnMut(&[u8])) {
+        self.aof_rewrite(|command| emit(&encode_command(&command)));
+    }
 }
 
-/// A [`Server`] paired with a durable command log and snapshot lifecycle.
+/// A [`Server`] behind the durable store: write commands are logged before
+/// they execute, and `SAVE` / `BGREWRITEAOF` run the store's snapshot and
+/// rewrite.
 #[derive(Debug)]
 pub struct DurableServer<V: Vfs> {
-    server: Server,
-    vfs: V,
-    cfg: DurabilityConfig,
-    aof: AofWriter<V::File>,
-    manifest: Manifest,
-    next_epoch: u64,
-    rewrite_base: u64,
+    store: DurableGraphStore<Server, V>,
 }
 
 impl<V: Vfs> DurableServer<V> {
@@ -135,140 +106,8 @@ impl<V: Vfs> DurableServer<V> {
         cfg: DurabilityConfig,
         make_server: impl FnOnce() -> Server,
     ) -> Result<(Self, RecoveryReport)> {
-        vfs.create_dir_all(&cfg.dir)?;
-        for tmp in [KV_AOF_TMP, KV_MANIFEST_TMP, KV_SNAPSHOT_TMP] {
-            let _ = vfs.remove(&path(&cfg, tmp));
-        }
-
-        let aof_path = path(&cfg, KV_AOF_FILE);
-        let existed = vfs.exists(&aof_path);
-        let mut aof_bytes = if existed {
-            vfs.read(&aof_path)?
-        } else {
-            Vec::new()
-        };
-        let mut fresh = !existed;
-        match check_header(&aof_bytes, KV_AOF_MAGIC, cfg.recovery_mode, &aof_path)? {
-            HeaderState::Valid => {}
-            HeaderState::Empty => fresh = true,
-            HeaderState::TornHeader => {
-                vfs.truncate(&aof_path, 0)?;
-                aof_bytes.clear();
-                fresh = true;
-            }
-        }
-
-        let mut server = make_server();
-        let manifest = Manifest::load(&vfs, &path(&cfg, KV_MANIFEST_FILE)).unwrap_or_default();
-        let next_epoch = manifest
-            .generations
-            .iter()
-            .map(|g| g.epoch + 1)
-            .max()
-            .unwrap_or(1);
-
-        // Newest usable snapshot generation: manifest offset plausible, file
-        // checksums, and the RDB image loads (a module missing from
-        // `make_server` skips the generation and degrades to log replay).
-        let mut generations_skipped = 0u32;
-        let mut base: Option<(u64, u64)> = None;
-        if !fresh {
-            for gen in &manifest.generations {
-                let offset_plausible =
-                    gen.aof_offset >= 8 && gen.aof_offset <= aof_bytes.len() as u64;
-                if !offset_plausible {
-                    generations_skipped += 1;
-                    continue;
-                }
-                let loaded = read_kv_snapshot(&vfs, &path(&cfg, &gen.snapshot))
-                    .ok()
-                    .and_then(|rdb| server.load_rdb(&rdb).ok());
-                match loaded {
-                    Some(()) => {
-                        base = Some((gen.epoch, gen.aof_offset));
-                        break;
-                    }
-                    None => generations_skipped += 1,
-                }
-            }
-        }
-
-        // Replay the command log (suffix) on top.
-        let start = base.map_or(8, |(_, offset)| offset);
-        let mut frames_replayed = 0u64;
-        let mut commands_replayed = 0u64;
-        let mut valid_len = start;
-        let mut dropped = 0u64;
-        if !fresh {
-            let mut decode_bad_at = None;
-            let mut cursor = start;
-            let outcome =
-                scan_frames(&aof_bytes, start, cfg.recovery_mode, &aof_path, |payload| {
-                    let frame_start = cursor;
-                    cursor += (FRAME_HEADER_LEN + payload.len()) as u64;
-                    if decode_bad_at.is_some() {
-                        return;
-                    }
-                    match decode_command(payload) {
-                        Some(parts) => {
-                            server.execute(&parts);
-                            frames_replayed += 1;
-                            commands_replayed += 1;
-                        }
-                        None => decode_bad_at = Some(frame_start),
-                    }
-                })?;
-            valid_len = match decode_bad_at {
-                None => outcome.valid_len,
-                Some(bad_at) if cfg.recovery_mode == RecoveryMode::Strict => {
-                    return Err(DurabilityError::Corrupt {
-                        path: aof_path,
-                        offset: bad_at,
-                        detail: "undecodable command in checksummed frame".to_string(),
-                    });
-                }
-                Some(bad_at) => bad_at,
-            };
-            dropped = aof_bytes.len() as u64 - valid_len;
-            if dropped > 0 {
-                vfs.truncate(&aof_path, valid_len)?;
-            }
-        }
-
-        let mut file = vfs.open_append(&aof_path)?;
-        let resume_offset = if fresh {
-            file.write_all(KV_AOF_MAGIC)?;
-            8
-        } else {
-            valid_len
-        };
-        let aof = AofWriter::new(file, cfg.sync_policy, resume_offset);
-
-        let source = match (base, fresh) {
-            (Some((epoch, _)), _) => RecoverySource::Snapshot { epoch },
-            (None, true) => RecoverySource::Fresh,
-            (None, false) => RecoverySource::AofReplay,
-        };
-        let report = RecoveryReport {
-            source,
-            generations_skipped,
-            frames_replayed,
-            ops_replayed: commands_replayed,
-            dropped_bytes: dropped,
-            resume_offset,
-        };
-        Ok((
-            Self {
-                server,
-                vfs,
-                cfg,
-                aof,
-                manifest,
-                next_epoch,
-                rewrite_base: resume_offset,
-            },
-            report,
-        ))
+        let (store, report) = DurableGraphStore::open(vfs, cfg, make_server)?;
+        Ok((Self { store }, report))
     }
 
     /// Executes a command with write-ahead logging. `SAVE` and `BGREWRITEAOF`
@@ -276,7 +115,7 @@ impl<V: Vfs> DurableServer<V> {
     /// in-memory server core.
     pub fn execute(&mut self, parts: &[String]) -> Reply {
         let Some(first) = parts.first() else {
-            return self.server.execute(parts);
+            return self.store.graph_mut().execute(parts);
         };
         let command = first.to_ascii_lowercase();
         match command.as_str() {
@@ -292,11 +131,11 @@ impl<V: Vfs> DurableServer<V> {
                 if Server::is_write_command(&command) {
                     // Log first: if the append fails the command is refused,
                     // so memory never runs ahead of what replay can rebuild.
-                    if let Err(e) = self.aof.append_payload(&encode_command(parts)) {
+                    if let Err(e) = self.store.append([encode_command(parts).as_slice()]) {
                         return Reply::Error(format!("ERR aof append failed: {e}"));
                     }
                 }
-                self.server.execute(parts)
+                self.store.graph_mut().execute(parts)
             }
         }
     }
@@ -353,7 +192,7 @@ impl<V: Vfs> DurableServer<V> {
         }
 
         // Phase 2: group commit. Failure refuses every logged command.
-        if let Err(e) = self.aof.append_payloads(payloads.iter().map(Vec::as_slice)) {
+        if let Err(e) = self.store.append(payloads.iter().map(Vec::as_slice)) {
             let refusal = format!("ERR aof append failed: {e}");
             for plan in &mut plans {
                 if matches!(plan, Plan::Graph(..) | Plan::LoggedWrite) {
@@ -383,16 +222,16 @@ impl<V: Vfs> DurableServer<V> {
             match plan {
                 Plan::Graph(insert, u, v, w) => {
                     if insert != run_insert {
-                        flush_run(&self.server, &mut run, run_insert);
+                        flush_run(self.store.graph(), &mut run, run_insert);
                         run_insert = insert;
                     }
                     run.push((u, v, w));
                     replies.push(Reply::Ok);
                 }
                 other => {
-                    flush_run(&self.server, &mut run, run_insert);
+                    flush_run(self.store.graph(), &mut run, run_insert);
                     replies.push(match other {
-                        Plan::LoggedWrite => self.server.execute(parts),
+                        Plan::LoggedWrite => self.store.graph_mut().execute(parts),
                         Plan::Unlogged => self.execute(parts),
                         Plan::Refused(reply) => reply,
                         Plan::Graph(..) => unreachable!("handled above"),
@@ -400,145 +239,57 @@ impl<V: Vfs> DurableServer<V> {
                 }
             }
         }
-        flush_run(&self.server, &mut run, run_insert);
+        flush_run(self.store.graph(), &mut run, run_insert);
         replies
     }
 
     /// Clock-driven [`SyncPolicy`](graph_durability::SyncPolicy) flush: the
     /// serving writer loop calls this on its own timer so an `EverySecond`
     /// log still syncs within ~1 s of a burst even when no further command
-    /// arrives (see `AofWriter::tick`).
+    /// arrives (see [`DurableGraphStore::tick`]).
     pub fn tick(&mut self) -> Result<()> {
-        self.aof.tick()
+        self.store.tick()
     }
 
     /// The wrapped server (read-only: mutations must go through
     /// [`DurableServer::execute`] to hit the log).
     pub fn server(&self) -> &Server {
-        &self.server
+        self.store.graph()
     }
 
     /// The store's configuration.
     pub fn config(&self) -> &DurabilityConfig {
-        &self.cfg
+        self.store.config()
     }
 
     /// Current command log end offset.
     pub fn aof_offset(&self) -> u64 {
-        self.aof.offset()
+        self.store.aof_offset()
     }
 
     /// Instrumentation counters.
     pub fn stats(&self) -> DurabilityStats {
-        *self.aof.stats()
+        self.store.stats()
     }
 
     /// Explicitly fsyncs the command log.
     pub fn sync(&mut self) -> Result<()> {
-        self.aof.sync()
+        self.store.sync()
     }
 
-    /// Writes an RDB snapshot plus a manifest generation tying it to the
-    /// current log offset (the `SAVE` path). Returns the snapshot size.
+    /// The `SAVE` path: [`DurableGraphStore::save_snapshot`].
     pub fn save_snapshot(&mut self) -> Result<u64> {
-        // Best-effort sync: if the tail below the recorded offset is later
-        // lost, the offset exceeds the valid log length and recovery skips
-        // this generation.
-        let _ = self.aof.sync();
-        let offset = self.aof.offset();
-        let rdb = self.server.save_rdb();
-        let epoch = self.next_epoch;
-        let name = snapshot_file(epoch);
-        let bytes = write_kv_snapshot(
-            &self.vfs,
-            &path(&self.cfg, &name),
-            &path(&self.cfg, KV_SNAPSHOT_TMP),
-            &rdb,
-        )?;
-        self.next_epoch += 1;
-
-        self.manifest.generations.insert(
-            0,
-            Generation {
-                epoch,
-                snapshot: name,
-                aof_offset: offset,
-            },
-        );
-        let dropped = if self.manifest.generations.len() > self.cfg.snapshot_generations {
-            self.manifest
-                .generations
-                .split_off(self.cfg.snapshot_generations)
-        } else {
-            Vec::new()
-        };
-        self.manifest.store(
-            &self.vfs,
-            &path(&self.cfg, KV_MANIFEST_FILE),
-            &path(&self.cfg, KV_MANIFEST_TMP),
-        )?;
-        for gen in dropped {
-            let _ = self.vfs.remove(&path(&self.cfg, &gen.snapshot));
-        }
-
-        let stats = self.aof.stats_mut();
-        stats.snapshots_written += 1;
-        stats.last_snapshot_bytes = bytes;
-        Ok(bytes)
+        self.store.save_snapshot()
     }
 
-    /// Rewrites the command log from live state (the `BGREWRITEAOF` dance):
-    /// minimal rebuild commands to a temp file, manifest cleared first, atomic
-    /// rename, append handle reopened. Returns the new log size.
+    /// The `BGREWRITEAOF` path: [`DurableGraphStore::rewrite_aof`].
     pub fn rewrite_aof(&mut self) -> Result<u64> {
-        let mut image = KV_AOF_MAGIC.to_vec();
-        self.server
-            .aof_rewrite(|command| encode_frame(&encode_command(&command), &mut image));
-
-        let tmp = path(&self.cfg, KV_AOF_TMP);
-        let mut file = self.vfs.create(&tmp)?;
-        file.write_all(&image)?;
-        file.sync()?;
-        drop(file);
-
-        // Clear the manifest before the log swap: its offsets would be
-        // meaningless against the rewritten log.
-        let dropped = std::mem::take(&mut self.manifest.generations);
-        self.manifest.store(
-            &self.vfs,
-            &path(&self.cfg, KV_MANIFEST_FILE),
-            &path(&self.cfg, KV_MANIFEST_TMP),
-        )?;
-        for gen in dropped {
-            let _ = self.vfs.remove(&path(&self.cfg, &gen.snapshot));
-        }
-
-        let aof_path = path(&self.cfg, KV_AOF_FILE);
-        self.vfs.rename(&tmp, &aof_path)?;
-
-        let file = self.vfs.open_append(&aof_path)?;
-        let mut stats = *self.aof.stats();
-        stats.aof_rewrites += 1;
-        self.aof = AofWriter::new(file, self.cfg.sync_policy, image.len() as u64);
-        *self.aof.stats_mut() = stats;
-        self.rewrite_base = image.len() as u64;
-        Ok(image.len() as u64)
+        self.store.rewrite_aof()
     }
 
-    /// Rewrites when the log has outgrown its post-rewrite base per the
-    /// configured thresholds. Returns whether a rewrite ran.
+    /// [`DurableGraphStore::maybe_rewrite_aof`].
     pub fn maybe_rewrite_aof(&mut self) -> Result<bool> {
-        let len = self.aof.offset();
-        let threshold = self
-            .rewrite_base
-            .saturating_mul(self.cfg.rewrite_growth)
-            .max(self.cfg.rewrite_min_bytes);
-        if len >= threshold {
-            self.rewrite_aof()?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        self.store.maybe_rewrite_aof()
     }
 }
 
@@ -546,7 +297,7 @@ impl<V: Vfs> DurableServer<V> {
 mod tests {
     use super::*;
     use crate::graph_module::CuckooGraphModule;
-    use graph_durability::{SimVfs, SyncPolicy};
+    use graph_durability::{DurabilityError, RecoveryMode, RecoverySource, SimVfs, SyncPolicy};
 
     fn cmd(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| s.to_string()).collect()
@@ -669,6 +420,51 @@ mod tests {
     }
 
     #[test]
+    fn failed_append_never_hides_later_acknowledged_writes() {
+        let frame_len = graph_durability::frame::FRAME_HEADER_LEN
+            + encode_command(&cmd(&["SET", "b", "2"])).len();
+        for k in 0..frame_len {
+            // A short write tears the frame; the next command is acked.
+            let vfs = SimVfs::new();
+            let (mut store, _) = DurableServer::open(vfs.clone(), cfg(), make_server).unwrap();
+            assert_eq!(store.execute(&cmd(&["SET", "a", "1"])), Reply::Ok);
+            vfs.short_write_next(k);
+            let refused = store.execute(&cmd(&["SET", "b", "2"]));
+            assert!(matches!(refused, Reply::Error(_)), "k={k}");
+            assert_eq!(store.execute(&cmd(&["SET", "c", "3"])), Reply::Ok);
+            drop(store);
+            let (mut back, _) = DurableServer::open(vfs, cfg(), make_server).unwrap();
+            assert_eq!(back.execute(&cmd(&["GET", "a"])), Reply::Bulk("1".into()));
+            assert_eq!(back.execute(&cmd(&["GET", "b"])), Reply::Nil, "k={k}");
+            assert_eq!(
+                back.execute(&cmd(&["GET", "c"])),
+                Reply::Bulk("3".into()),
+                "k={k}: acked write lost"
+            );
+
+            // A kill mid-write also defeats the repair: every later command
+            // is refused until reopen, even once the disk is back.
+            let vfs = SimVfs::new();
+            let (mut store, _) = DurableServer::open(vfs.clone(), cfg(), make_server).unwrap();
+            store.execute(&cmd(&["SET", "a", "1"]));
+            vfs.crash_after_bytes(k as u64);
+            assert!(matches!(
+                store.execute(&cmd(&["SET", "b", "2"])),
+                Reply::Error(_)
+            ));
+            vfs.revive();
+            let late = store.execute_batch(&[cmd(&["SET", "c", "3"])]);
+            assert!(
+                matches!(late[0], Reply::Error(_)),
+                "k={k}: appended behind a torn frame"
+            );
+            drop(store);
+            let (mut back, _) = DurableServer::open(vfs, cfg(), make_server).unwrap();
+            assert_eq!(back.execute(&cmd(&["DBSIZE"])), Reply::Integer(1), "k={k}");
+        }
+    }
+
+    #[test]
     fn strict_mode_surfaces_the_torn_tail() {
         let vfs = SimVfs::new();
         let (mut store, _) = DurableServer::open(vfs.clone(), cfg(), make_server).unwrap();
@@ -684,36 +480,78 @@ mod tests {
 
     #[test]
     fn crash_mid_append_recovers_the_acknowledged_prefix() {
-        let vfs = SimVfs::new();
+        // Served write batches mixing keyspace and graph writes (plus a read),
+        // each one group-committed frame run under `Always`.
+        let batches: Vec<Vec<Vec<String>>> = vec![
+            vec![cmd(&["SET", "a", "1"]), cmd(&["GRAPH.ADDEDGE", "1", "2"])],
+            vec![
+                cmd(&["GRAPH.ADDEDGE", "1", "3", "4"]),
+                cmd(&["SET", "b", "2"]),
+                cmd(&["GRAPH.DELEDGE", "1", "2"]),
+            ],
+            vec![cmd(&["GRAPH.ADDEDGE", "2", "5"])],
+            vec![
+                cmd(&["SET", "a", "3"]),
+                cmd(&["GRAPH.DELEDGE", "1", "3"]),
+                cmd(&["GRAPH.ADDEDGE", "5", "1", "2"]),
+            ],
+            vec![cmd(&["GRAPH.HASEDGE", "2", "5"]), cmd(&["SET", "c", "4"])],
+        ];
         let always = cfg().with_sync_policy(SyncPolicy::Always);
-        let (mut store, _) = DurableServer::open(vfs.clone(), always.clone(), make_server).unwrap();
-        vfs.crash_after_bytes(160);
-        let mut acked = Vec::new();
-        for i in 0..50 {
-            let parts = cmd(&["SET", &format!("k{i}"), "v"]);
-            match store.execute(&parts) {
-                Reply::Ok => acked.push(i),
-                Reply::Error(_) => break,
-                other => panic!("unexpected reply {other:?}"),
-            }
+        let vfs = SimVfs::new();
+        let (mut store, _) = DurableServer::open(vfs, always.clone(), make_server).unwrap();
+        for batch in &batches {
+            store.execute_batch(batch);
         }
-        assert!(acked.len() < 50, "the crash must have hit");
+        let total = store.aof_offset() - 8;
         drop(store);
-        vfs.revive();
 
-        let (mut back, _) = DurableServer::open(vfs, always, make_server).unwrap();
-        for i in &acked {
-            assert_eq!(
-                back.execute(&cmd(&["GET", &format!("k{i}")])),
-                Reply::Bulk("v".into()),
-                "acknowledged write k{i} must survive"
+        // Kill at every byte of the stream: recovery holds exactly the
+        // acknowledged batches, as a serial oracle, plus at most an in-order
+        // prefix of the batch the kill interrupted — its commands were never
+        // acknowledged (the process died before replying), yet each frame of
+        // the group that reached the disk whole is a valid frame.
+        for cut in 0..=total {
+            let vfs = SimVfs::new();
+            let (mut store, _) =
+                DurableServer::open(vfs.clone(), always.clone(), make_server).unwrap();
+            vfs.crash_after_bytes(cut);
+            let mut acked = 0;
+            for batch in &batches {
+                let replies = store.execute_batch(batch);
+                if replies.iter().any(|r| matches!(r, Reply::Error(_))) {
+                    break;
+                }
+                acked += 1;
+            }
+            if cut < total {
+                assert!(
+                    acked < batches.len(),
+                    "cut {cut} of {total} must lose writes"
+                );
+            }
+            drop(store);
+            vfs.revive();
+
+            let (back, _) = DurableServer::open(vfs, always.clone(), make_server).unwrap();
+            let recovered = back.server().save_rdb();
+            let mut oracle = make_server();
+            for parts in batches[..acked].iter().flatten() {
+                oracle.execute(parts);
+            }
+            let mut matched = recovered == oracle.save_rdb();
+            for parts in batches.get(acked).into_iter().flatten() {
+                if matched {
+                    break;
+                }
+                oracle.execute(parts);
+                matched = recovered == oracle.save_rdb();
+            }
+            assert!(
+                matched,
+                "cut at byte {cut}: recovered state must equal the {acked}-batch oracle"
             );
         }
-        assert_eq!(
-            back.execute(&cmd(&["DBSIZE"])),
-            Reply::Integer(acked.len() as i64),
-            "nothing beyond the acknowledged prefix may appear"
-        );
     }
 
     #[test]
