@@ -7,15 +7,18 @@
 //! which then grows and shrinks per the TRANSFORMATION rule. A chain that
 //! shrinks back to the inline capacity collapses into small slots again.
 //!
-//! The small slots are not a per-cell `Vec` but a fixed-size block
-//! inside the engine's [`SlotArena`]: the cell stores a `u32` block index and
-//! a length byte, and every small-slot operation takes the arena as a
+//! The small slots are not a per-cell `Vec` but a block inside the engine's
+//! size-classed [`SlotArena`]: the cell stores a `u32` block handle and a
+//! length byte, and every small-slot operation takes the arena as a
 //! parameter. This removes one heap allocation + `Vec` header per low-degree
 //! node and packs neighbour slots densely for the successor-scan hot path
-//! (see [`crate::arena`]). A transformation allocates its chain's first table
-//! at the base length; a collapse dismantles the chain and frees its tables.
+//! (see [`crate::arena`]). A cell's block is as small as its degree allows:
+//! an insert into a full block promotes the cell one size class up, the last
+//! neighbour's removal frees the block, and a collapse lands in the smallest
+//! class that fits. A transformation allocates its chain's first table at the
+//! base length; a collapse dismantles the chain and frees its tables.
 
-use crate::arena::{SlotArena, NO_BLOCK};
+use crate::arena::{remapped, SlotArena, NO_BLOCK};
 use crate::chain::{ChainInsert, ChainParams, TableChain};
 use crate::hash::{splitmix64, KeyHash};
 use crate::payload::Payload;
@@ -29,7 +32,7 @@ use graph_api::NodeId;
 #[derive(Debug, Clone, Copy)]
 pub struct CellCtx {
     /// Inline capacity of Part 2 before it transforms (`2R` basic, `R` weighted).
-    /// Also the block size of the engine's slot arena.
+    /// Also the block size of the slot arena's largest size class.
     pub small_slots: usize,
     /// Parameters of the S-CHT chain the cell transforms into.
     pub chain: ChainParams,
@@ -79,10 +82,10 @@ pub(crate) enum CellSlot {
 #[derive(Debug, Clone)]
 enum Part2<P> {
     /// Inline neighbour storage (degree ≤ `2R`): a block in the engine's
-    /// [`SlotArena`] ([`NO_BLOCK`] until the first neighbour arrives) plus the
-    /// live length. 5 bytes where a `Vec<P>` header was 24.
+    /// [`SlotArena`] ([`NO_BLOCK`] while the cell has no neighbour) plus the
+    /// live length. `Part2` is 16 bytes and the whole `Cell` 24.
     Small {
-        /// Arena block holding the slots, or [`NO_BLOCK`].
+        /// Arena block handle holding the slots, or [`NO_BLOCK`].
         block: u32,
         /// Number of live slots at the front of the block; the tail holds
         /// [`Payload::filler`].
@@ -271,19 +274,28 @@ impl<P: Payload> Cell<P> {
 
     /// Removes neighbour `v` from the inline small slots: the victim is
     /// swapped out for a [`Payload::filler`] which then swaps to the end of
-    /// the live prefix, keeping the block dense. The (now possibly empty)
-    /// block is kept for the next insert.
-    fn remove_small(block: u32, len: &mut u8, v: NodeId, arena: &mut SlotArena<P>) -> Option<P> {
-        let i = Self::live_slots(block, *len, arena)
+    /// the live prefix, keeping the block dense. Removing the last neighbour
+    /// returns the block to its class's free list.
+    fn remove_small(
+        block: &mut u32,
+        len: &mut u8,
+        v: NodeId,
+        arena: &mut SlotArena<P>,
+    ) -> Option<P> {
+        let i = Self::live_slots(*block, *len, arena)
             .iter()
             .position(|p| p.key() == v)?;
-        let slots = arena.slots_mut(block);
+        let slots = arena.slots_mut(*block);
         let removed = std::mem::replace(&mut slots[i], P::filler());
         let last = *len as usize - 1;
         if i != last {
             slots.swap(i, last);
         }
         *len -= 1;
+        if *len == 0 {
+            arena.free_block(*block);
+            *block = NO_BLOCK;
+        }
         Some(removed)
     }
 
@@ -301,7 +313,7 @@ impl<P: Payload> Cell<P> {
         scan: &mut ScanArena,
     ) -> NeighborRemove<P> {
         if let Part2::Small { block, len } = &mut self.part2 {
-            let removed = Self::remove_small(*block, len, v, arena);
+            let removed = Self::remove_small(block, len, v, arena);
             return NeighborRemove {
                 removed,
                 displaced: Vec::new(),
@@ -417,14 +429,18 @@ impl<P: Payload> Cell<P> {
             "payload inserted under foreign hash"
         );
         debug_assert!(!self.contains(kh, arena), "insert of duplicate neighbour");
-        debug_assert_eq!(arena.block_size(), ctx.small_slots, "arena/ctx mismatch");
+        debug_assert_eq!(arena.small_slots(), ctx.small_slots, "arena/ctx mismatch");
         match &mut self.part2 {
             Part2::Small { block, len } => {
-                if (*len as usize) < ctx.small_slots {
+                let n = *len as usize;
+                if n < ctx.small_slots {
                     if *block == NO_BLOCK {
-                        *block = arena.alloc_block();
+                        *block = arena.alloc_block(0);
+                    } else if n == arena.capacity(*block) {
+                        // The block is full: move one size class up.
+                        *block = arena.promote(*block, n);
                     }
-                    arena.slots_mut(*block)[*len as usize] = payload;
+                    arena.slots_mut(*block)[n] = payload;
                     *len += 1;
                     return NeighborInsert::Stored { expanded: false };
                 }
@@ -553,7 +569,7 @@ impl<P: Payload> Cell<P> {
     ) -> NeighborRemove<P> {
         match &mut self.part2 {
             Part2::Small { block, len } => {
-                let removed = Self::remove_small(*block, len, kh.key(), arena);
+                let removed = Self::remove_small(block, len, kh.key(), arena);
                 NeighborRemove {
                     removed,
                     displaced: Vec::new(),
@@ -576,18 +592,17 @@ impl<P: Payload> Cell<P> {
                 // Collapse back to inline slots once everything fits again —
                 // the end state of the reverse transformation. The chain is
                 // dismantled (items into the scratch, tables freed) and the
-                // survivors land in a fresh arena block.
+                // survivors land in the smallest size class that holds them.
                 if chain.count() <= ctx.small_slots {
                     debug_assert!(scratch.is_empty(), "scratch busy during collapse");
                     // The survivors move back inline: the segment is freed.
                     scan.release(seg_id);
                     chain.dismantle(&mut scratch.items);
                     let n = scratch.items.len();
-                    debug_assert!(n <= arena.block_size());
                     let block = if n == 0 {
                         NO_BLOCK
                     } else {
-                        arena.alloc_block()
+                        arena.alloc_block(arena.class_for(n))
                     };
                     if block != NO_BLOCK {
                         let slots = arena.slots_mut(block);
@@ -618,13 +633,22 @@ impl<P: Payload> Cell<P> {
         }
     }
 
-    /// Rewrites the cell's arena block index through a compaction remap table
-    /// (see [`SlotArena::compact`]). Chained cells store nothing in the arena
-    /// and are untouched.
-    pub(crate) fn remap_block(&mut self, remap: &[u32]) {
+    /// The arena block handle of an inline cell ([`NO_BLOCK`] if it has no
+    /// neighbour); `None` once transformed.
+    pub(crate) fn inline_block(&self) -> Option<u32> {
+        match self.part2 {
+            Part2::Small { block, .. } => Some(block),
+            Part2::Chain { .. } => None,
+        }
+    }
+
+    /// Rewrites the cell's arena block handle through the compaction remap
+    /// tables (see [`SlotArena::compact`]). Chained cells store nothing in
+    /// the arena and are untouched.
+    pub(crate) fn remap_block(&mut self, remap: &[Vec<u32>]) {
         if let Part2::Small { block, .. } = &mut self.part2 {
             if *block != NO_BLOCK {
-                let new = remap[*block as usize];
+                let new = remapped(remap, *block);
                 debug_assert_ne!(new, NO_BLOCK, "live cell's block freed by compaction");
                 *block = new;
             }
@@ -709,6 +733,11 @@ mod tests {
         ScanArena::new()
     }
 
+    /// Blocks in use: carved out of the slabs and not on a free list.
+    fn live_blocks(arena: &SlotArena<NodeId>) -> usize {
+        arena.block_count() - arena.free_count()
+    }
+
     #[test]
     fn small_slots_hold_up_to_capacity_inline() {
         let ctx = ctx();
@@ -736,7 +765,13 @@ mod tests {
         assert_eq!(cell.degree(), 6);
         assert!(!cell.is_transformed());
         assert_eq!(cell.scht_tables(), 0);
-        assert_eq!(arena.block_count(), 1, "one block per inline cell");
+        assert_eq!(live_blocks(&arena), 1, "one live block per inline cell");
+        let block = cell.inline_block().expect("inline cell");
+        assert_eq!(
+            arena.capacity(block),
+            6,
+            "a full cell sits in the top class"
+        );
         for v in 0..6u64 {
             assert!(cell.contains(kh(v), &arena));
         }
@@ -778,7 +813,8 @@ mod tests {
         assert!(cell.is_transformed());
         assert_eq!(cell.scht_tables(), 1);
         assert_eq!(cell.degree(), 7);
-        assert_eq!(arena.free_count(), 1, "transformation frees the block");
+        assert_eq!(cell.inline_block(), None);
+        assert_eq!(live_blocks(&arena), 0, "transformation frees the block");
         for v in 0..7u64 {
             assert!(
                 cell.contains(kh(v), &arena),
@@ -869,8 +905,53 @@ mod tests {
         let missing = cell.remove(kh(99), &ctx, &mut arena, &mut rng, &mut p, &mut s, &mut sc);
         assert_eq!(missing.removed, None);
         // The vacated tail of the live prefix is re-fillered, not stale.
-        assert_eq!(arena.slots(0)[3], NodeId::filler());
+        let block = cell.inline_block().expect("inline cell");
+        assert_eq!(live_blocks(&arena), 1);
+        assert_eq!(arena.slots(block)[3], NodeId::filler());
         arena.assert_free_blocks_clean();
+    }
+
+    #[test]
+    fn removing_the_last_neighbor_frees_the_block() {
+        let ctx = ctx();
+        let mut arena = arena();
+        let mut cell: Cell<NodeId> = Cell::new(1);
+        let mut rng = KickRng::new(4);
+        let mut p = 0;
+        let mut s = scratch();
+        let mut sc = scan();
+        for v in 0..3u64 {
+            cell.insert(
+                v,
+                kh(v),
+                &ctx,
+                &mut arena,
+                &mut rng,
+                &mut p,
+                &mut s,
+                &mut sc,
+            );
+        }
+        for v in 0..3u64 {
+            let r = cell.remove_lazy(v, &ctx, &mut arena, &mut rng, &mut p, &mut s, &mut sc);
+            assert_eq!(r.removed, Some(v));
+        }
+        assert_eq!(cell.inline_block(), Some(NO_BLOCK));
+        assert_eq!(live_blocks(&arena), 0, "an empty cell still holds a block");
+        arena.assert_free_blocks_clean();
+        // The next neighbour starts over in the smallest class.
+        cell.insert(
+            7,
+            kh(7),
+            &ctx,
+            &mut arena,
+            &mut rng,
+            &mut p,
+            &mut s,
+            &mut sc,
+        );
+        assert_eq!(arena.capacity(cell.inline_block().unwrap()), 1);
+        assert_eq!(cell.neighbors(&arena), vec![7]);
     }
 
     #[test]

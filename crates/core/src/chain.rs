@@ -92,7 +92,7 @@ impl<T: Payload> TableChain<T> {
     /// Creates a chain with a single table of length `params.base_len`.
     pub fn new(params: ChainParams, seed: u64) -> Self {
         let mut chain = Self {
-            tables: Vec::with_capacity(params.r),
+            tables: Vec::with_capacity(1),
             round: 0,
             params,
             seed,
@@ -335,6 +335,8 @@ impl<T: Payload> TableChain<T> {
         if self.tables.len() < self.params.r {
             let len = self.extra_len();
             let t = self.alloc_table(len);
+            // Exact growth: an unused `CuckooTable` header costs 104 bytes.
+            self.tables.reserve_exact(1);
             self.tables.push(t);
             self.refresh_capacity();
             return Vec::new();
@@ -350,6 +352,7 @@ impl<T: Payload> TableChain<T> {
         self.round += 1;
         let first = self.alloc_table(self.first_len());
         let second = self.alloc_table(self.extra_len());
+        self.tables.reserve_exact(2);
         self.tables.push(first);
         self.tables.push(second);
         self.refresh_capacity();

@@ -12,7 +12,7 @@
 //! payload type (`NodeId`, [`crate::payload::WeightedSlot`],
 //! [`crate::payload::MultiSlot`]) and the per-variant edge semantics.
 
-use crate::arena::SlotArena;
+use crate::arena::{SlotArena, NO_BLOCK};
 use crate::cell::{Cell, CellCtx, NeighborInsert};
 use crate::chain::ChainParams;
 use crate::config::CuckooGraphConfig;
@@ -50,13 +50,13 @@ pub struct Engine<P> {
     scht: SchtCounters,
     /// Engine-level rebuild buffers shared by every S-CHT chain: expansions,
     /// contractions and merges drain into (and re-place out of) this scratch
-    /// instead of allocating per event. The L-CHT chain has its own cell
-    /// scratch inside [`NodeTable`].
+    /// instead of allocating per event. (The L-CHT takes a fresh one per
+    /// rebuild; see [`NodeTable`].)
     scratch: RebuildScratch<P>,
     /// Reusable buffer for S-DL drains on expansion events.
     dl_buf: Vec<P>,
-    /// Engine-level slab holding every inline cell's small slots (see
-    /// [`crate::arena`]) — one allocation for all low-degree adjacency.
+    /// Engine-level size-classed slabs holding every inline cell's small
+    /// slots (see [`crate::arena`]).
     arena: SlotArena<P>,
     /// Engine-level arena of contiguous scan segments mirroring every
     /// transformed cell's chain membership (see [`crate::segment`]): the
@@ -649,11 +649,11 @@ impl<P: Payload> Engine<P> {
         }
     }
 
-    /// Compacts the engine's slot arena (see [`SlotArena::compact`]): live
-    /// blocks slide down over freed ones, the slab's excess capacity is
-    /// released, and every cell's block index — in the L-CHT *and* parked in
-    /// the L-DL — is rewritten through the remap table. Returns the number of
-    /// freed blocks reclaimed.
+    /// Compacts the engine's slot arena (see [`SlotArena::compact`]): in
+    /// every size class live blocks slide down over freed ones and the slab's
+    /// excess capacity is released, and every cell's block handle — in the
+    /// L-CHT *and* parked in the L-DL — is rewritten through the remap
+    /// tables. Returns the number of freed blocks reclaimed.
     ///
     /// Deletion-heavy histories are the only way the free list grows, so this
     /// is a maintenance operation the caller invokes at quiescent points; no
@@ -667,6 +667,17 @@ impl<P: Payload> Engine<P> {
         self.nodes
             .for_each_cell_mut(|cell| cell.remap_block(&remap));
         freed
+    }
+
+    /// Calls `f(degree, block capacity)` for every inline cell (capacity 0
+    /// without a block): the size-class invariant the arena tests check.
+    #[doc(hidden)]
+    pub fn for_each_inline_block(&self, mut f: impl FnMut(usize, usize)) {
+        self.nodes.for_each(|cell| match cell.inline_block() {
+            Some(NO_BLOCK) => f(cell.degree(), 0),
+            Some(block) => f(cell.degree(), self.arena.capacity(block)),
+            None => {}
+        });
     }
 
     /// Bytes currently held by the structure, including the payload arena and

@@ -71,6 +71,13 @@ impl CuckooGraph {
     pub fn compact_arena(&mut self) -> usize {
         self.engine.compact_arena()
     }
+
+    /// Calls `f(degree, block capacity)` for every inline cell — see
+    /// [`crate::engine::Engine::for_each_inline_block`].
+    #[doc(hidden)]
+    pub fn for_each_inline_block(&self, f: impl FnMut(usize, usize)) {
+        self.engine.for_each_inline_block(f);
+    }
 }
 
 impl Default for CuckooGraph {

@@ -38,15 +38,15 @@ pub struct NodeTableCounters {
 }
 
 /// The L-CHT chain plus its L-DL.
+///
+/// L-CHT rebuilds take a fresh [`RebuildScratch`] per event: a merge drains
+/// every cell, and a kept buffer would hold that high-water mark for good.
 #[derive(Debug, Clone)]
 pub struct NodeTable<P> {
     chain: TableChain<Cell<P>>,
     denylist: LargeDenylist<Cell<P>>,
     use_denylist: bool,
     counters: NodeTableCounters,
-    /// Rebuild buffers for the L-CHT chain's own expand/contract events —
-    /// whole cells (each carrying its S-CHT chain by move, never by copy).
-    scratch: RebuildScratch<Cell<P>>,
     /// Reusable buffer for draining the L-DL back into the chain after an
     /// expansion, so the denylist path stops allocating per event too.
     park_buf: Vec<Cell<P>>,
@@ -65,7 +65,6 @@ impl<P: Payload> NodeTable<P> {
             denylist: LargeDenylist::new(denylist_capacity),
             use_denylist,
             counters: NodeTableCounters::default(),
-            scratch: RebuildScratch::new(),
             park_buf: Vec::new(),
         }
     }
@@ -182,7 +181,7 @@ impl<P: Payload> NodeTable<P> {
             kh,
             rng,
             &mut self.counters.placements,
-            &mut self.scratch,
+            &mut RebuildScratch::new(),
         ) {
             ChainInsert::Stored => {}
             ChainInsert::Failed(cell) => {
@@ -210,9 +209,11 @@ impl<P: Payload> NodeTable<P> {
         let mut pending = cell;
         let mut pending_kh = pending.key_hash();
         loop {
-            let leftovers =
-                self.chain
-                    .expand(rng, &mut self.counters.placements, &mut self.scratch);
+            let leftovers = self.chain.expand(
+                rng,
+                &mut self.counters.placements,
+                &mut RebuildScratch::new(),
+            );
             for cell in leftovers {
                 // Cells displaced by the merge go to the denylist regardless of
                 // the capacity limit — nothing may be dropped.
@@ -270,7 +271,7 @@ impl<P: Payload> NodeTable<P> {
 
     /// Mutable walk over every stored cell (chain and denylist). Callers must
     /// not change a cell's node; used by the engine's arena compaction to
-    /// rewrite every inline cell's block index.
+    /// rewrite every inline cell's block handle.
     pub(crate) fn for_each_cell_mut(&mut self, mut f: impl FnMut(&mut Cell<P>)) {
         self.chain.for_each_mut(&mut f);
         for cell in self.denylist.iter_mut() {
@@ -290,9 +291,11 @@ impl<P: Payload> NodeTable<P> {
     /// Applies the reverse-transformation rule to the L-CHT chain (used after
     /// bulk deletions); cells displaced by a contraction go to the L-DL.
     pub fn maybe_contract(&mut self, rng: &mut KickRng) {
-        let displaced =
-            self.chain
-                .maybe_contract(rng, &mut self.counters.placements, &mut self.scratch);
+        let displaced = self.chain.maybe_contract(
+            rng,
+            &mut self.counters.placements,
+            &mut RebuildScratch::new(),
+        );
         for cell in displaced {
             self.denylist.push_forced(cell);
         }

@@ -3,9 +3,10 @@
 //! A [`RebuildScratch`] is an engine-level pair of buffers (displaced items
 //! plus their memoized [`KeyHash`]es) threaded through `TableChain::expand` /
 //! `contract` and every engine rebuild path. Every resize event drains the
-//! affected tables into it before re-inserting, so steady-state resizes reuse
-//! the same drain capacity forever and the drain → hash → re-place pipeline
-//! allocates nothing but the new tables themselves.
+//! affected tables into it before re-inserting, so steady-state S-CHT resizes
+//! reuse the same drain capacity and the drain → hash → re-place pipeline
+//! allocates nothing but the new tables themselves. (The L-CHT takes a fresh
+//! scratch per rebuild, so its whole-table drain buffer is not kept.)
 //!
 //! The hash cache matters independently of the allocations: the drain pass
 //! fills `items`, a second tight pass computes every item's Bob hash into
@@ -19,10 +20,9 @@ use crate::payload::Payload;
 
 /// Reusable drain/re-place buffers for one chain's rebuild events.
 ///
-/// One scratch serves every chain of an engine level (all S-CHT chains share
-/// the engine's payload scratch; the L-CHT chain has its own cell scratch):
-/// rebuild events are strictly sequential within an engine, and each event
-/// leaves the buffers empty again.
+/// One scratch serves every S-CHT chain of an engine (they share the engine's
+/// payload scratch): rebuild events are strictly sequential within an
+/// engine, and each event leaves the buffers empty again.
 #[derive(Debug, Clone)]
 pub struct RebuildScratch<T> {
     /// Items drained out of the tables being rebuilt.

@@ -6,9 +6,11 @@
 //! return values, edge set, successor sets and counts, with capacity and
 //! memory inside what the model's size allows. The tests pin that under
 //! random insert/delete churn, serially and sharded, and additionally pin
-//! that loading-rate aggregates reflect live tables only and that arena
-//! compaction is a pure relayout (same graph before and after, free list
-//! drained, remap applied to every cell including parked L-DL cells).
+//! that loading-rate aggregates reflect live tables only, that every inline
+//! cell sits in a size class that holds its degree and no larger than the
+//! inline capacity, and that arena compaction is a pure relayout (same graph
+//! before and after, free lists drained, remap applied to every cell
+//! including parked L-DL cells).
 
 use cuckoograph::{
     CuckooGraph, CuckooGraphConfig, MemoryFootprint, NodeId, ShardedCuckooGraph, StructureStats,
@@ -136,6 +138,19 @@ fn check_shape_against_model(s: &StructureStats, model: &Model, shards: usize) {
     }
 }
 
+/// The size-class invariant, for every inline cell: degree ≤ block capacity
+/// ≤ `small_slots`, and a cell holds a block exactly when it has a neighbour.
+fn check_inline_blocks(g: &CuckooGraph) {
+    let small_slots = g.config().basic_small_slots();
+    g.for_each_inline_block(|degree, capacity| {
+        assert!(
+            degree <= capacity && capacity <= small_slots,
+            "inline cell of degree {degree} in a {capacity}-slot block (small_slots {small_slots})"
+        );
+        assert_eq!(degree == 0, capacity == 0, "block held by an empty cell");
+    });
+}
+
 fn sorted_edges(g: &CuckooGraph) -> Vec<(NodeId, NodeId)> {
     let mut e = g.edges();
     e.sort_unstable();
@@ -184,6 +199,7 @@ proptest! {
         }
 
         check_shape_against_model(&graph.stats(), &model, 1);
+        check_inline_blocks(&graph);
 
         // Tables and segments are allocated at exact size and freed when
         // replaced, so memory is live geometry plus the slot arena's slab
@@ -284,6 +300,7 @@ proptest! {
             before.arena_blocks - before.arena_free_blocks
         );
         prop_assert_eq!(sorted_edges(&g), before_edges, "compaction changed the graph");
+        check_inline_blocks(&g);
 
         // The compacted graph keeps working: mutate through every remapped
         // block and re-verify.
@@ -299,6 +316,34 @@ proptest! {
         }
         prop_assert_eq!(sorted_edges(&g), before_edges);
     }
+}
+
+/// A cell whose last neighbour is deleted gives its block back: after every
+/// edge of a sparse, mostly low-degree graph is deleted, compaction leaves no
+/// arena block behind.
+#[test]
+fn deleting_every_edge_releases_every_arena_block() {
+    let mut g = CuckooGraph::new();
+    let edges: Vec<(NodeId, NodeId)> = (0..20_000u64)
+        .map(|i| (i % 7_919, i.wrapping_mul(0x9e37_79b9) % 50_000))
+        .collect();
+    let created = g.insert_edges(&edges);
+    assert!(g.stats().arena_blocks > 0);
+    let full = g.memory_bytes();
+    assert_eq!(g.remove_edges(&edges), created);
+    assert_eq!(g.edge_count(), 0);
+    check_inline_blocks(&g);
+    g.compact_arena();
+    let s = g.stats();
+    assert_eq!(
+        (s.arena_blocks, s.arena_free_blocks),
+        (0, 0),
+        "empty cells kept their blocks"
+    );
+    assert!(
+        g.memory_bytes() < full / 2,
+        "deleting everything freed little"
+    );
 }
 
 /// The weighted variant shares the engine, but its payloads carry state the
