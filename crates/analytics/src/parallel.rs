@@ -29,9 +29,9 @@ where
             .map(|shard| {
                 let f = &f;
                 scope.spawn(move || {
-                    // The view is scoped to the closure so the graph's read
-                    // protocol (reader pins under concurrent ingest) brackets
-                    // the pass.
+                    // The view is scoped to the closure so the shard's read
+                    // guard (held against concurrent ingest) brackets the
+                    // pass.
                     let mut out = None;
                     graph.with_shard_view(shard, &mut |view| out = Some(f(view)));
                     out.expect("with_shard_view skipped the pass closure")

@@ -718,8 +718,8 @@ impl<P: Payload> Engine<P> {
             pool_hits: 0,
             pool_misses: 0,
             pool_retained_bytes: 0,
-            // Reader-side counters live in the shard layer's coordinators; a
-            // bare engine has no readers to count.
+            // Reader-side counters live in the shard layer; a bare engine has
+            // no readers to count.
             reader_retries: 0,
             read_pins: 0,
             epoch_advances: 0,

@@ -50,7 +50,6 @@ pub mod chain;
 pub mod config;
 pub mod denylist;
 pub mod engine;
-pub mod epoch;
 pub mod error;
 pub mod graph;
 pub mod hash;
@@ -68,13 +67,14 @@ pub mod weighted;
 
 pub use arena::{SlotArena, NO_BLOCK};
 pub use config::CuckooGraphConfig;
-pub use epoch::{ReadCoordinator, ReadCounters, MAX_READERS};
 pub use error::{CuckooGraphError, Result};
 pub use graph::CuckooGraph;
 pub use multi::{EdgeId, MultiEdgeCuckooGraph};
 pub use scratch::RebuildScratch;
 pub use segment::{ScanArena, NO_SEG};
-pub use shard::{ShardReadView, Sharded, ShardedCuckooGraph, ShardedWeightedCuckooGraph};
+pub use shard::{
+    ReadCounters, ShardReadView, Sharded, ShardedCuckooGraph, ShardedWeightedCuckooGraph,
+};
 pub use stats::StructureStats;
 pub use weighted::WeightedCuckooGraph;
 

@@ -72,8 +72,7 @@ fn tag_of(kh: KeyHash) -> u8 {
 ///
 /// `_mm_prefetch` is purely a cache hint — it performs no load, cannot fault
 /// even on an invalid address, and has no observable semantic effect, so it
-/// is sound for any pointer value. (The only other `unsafe` in the workspace
-/// is the gated shard-slot access in [`crate::shard`].)
+/// is sound for any pointer value. It is the only `unsafe` in this crate.
 #[allow(unsafe_code)]
 #[inline(always)]
 pub(crate) fn prefetch_read(p: *const u8) {

@@ -44,9 +44,8 @@
 //! indices and recycles freed segment *ids* through a LIFO free list. The
 //! buffers themselves are allocated at exactly `total_for(cap)` words and
 //! freed when a segment grows or its cell collapses. Freeing on the spot is
-//! safe under the shard read protocol (see [`crate::epoch`]): a writer drains
-//! every pinned reader before its mutation window opens, so no scan can be
-//! in flight on a buffer the window replaces.
+//! safe under the shard lock (see [`crate::shard`]): a writer holds its
+//! shard's write guard, so no scan can be in flight on a buffer it replaces.
 
 use crate::scht::prefetch_read;
 use graph_api::NodeId;
@@ -279,8 +278,8 @@ impl ScanArena {
 
     /// Slides the live entries of `segs[idx]` down over its tombstones,
     /// preserving append order, and clears the bitmap. Safe under the shard
-    /// read protocol: writers drain every reader pin before a mutation window
-    /// opens, so no scan can observe the slide mid-flight.
+    /// lock: a writer holds the write guard, so no scan can observe the slide
+    /// mid-flight.
     fn compact(&mut self, idx: usize) {
         let s = &mut self.segs[idx];
         let n = s.len as usize;

@@ -1,8 +1,7 @@
 //! Sharded CuckooGraph: N independent L-CHT/S-CHT engines partitioned by
 //! source-node hash, with batched mutations fanned out to the shards on
 //! [`std::thread::scope`] — and queries that proceed **concurrently with an
-//! ingesting writer** through the per-shard [`ReadCoordinator`] protocol of
-//! [`crate::epoch`].
+//! ingesting writer** through a per-shard [`RwLock`].
 //!
 //! Every edge `⟨u, v⟩` lives entirely inside the shard that owns `u`, so the
 //! shards partition the source-node space and never share mutable state: a
@@ -12,22 +11,28 @@
 //!
 //! ## Concurrent reads under ingest
 //!
-//! Each shard is a `ShardSlot`: the engine in an [`UnsafeCell`], a
-//! [`ReadCoordinator`], and a writer gate. Two access disciplines share them:
+//! Each shard is a `ShardSlot`: the engine in a [`RwLock`] plus three
+//! [`ReadCounters`] atomics. Two access disciplines share it:
 //!
 //! * **Exclusive (`&mut self`)** — the classic surface. The borrow checker
-//!   proves exclusivity, so [`DynamicGraph::insert_edges`] and friends go
-//!   straight to the engine with no coordination at all; the fan-out spawns
-//!   one scoped thread per non-empty group exactly as before.
+//!   proves exclusivity, so [`DynamicGraph::insert_edges`] and friends reach
+//!   the engine through [`RwLock::get_mut`] without locking; the fan-out
+//!   spawns one scoped thread per non-empty group.
 //! * **Shared (`&self`)** — [`Sharded::ingest_batch`] /
-//!   [`Sharded::remove_batch`] mutate through `&self` while
-//!   [`Sharded::read_view`] guards (or one-shot [`Sharded::with_shard`]
-//!   reads) query the same shards. The writer gate serializes writers per
-//!   shard; within the gate the writer opens short seqlock *mutation windows*
-//!   (one per `INGEST_CHUNK` edges) that drain announced readers, so reads
-//!   flow between chunks instead of waiting out the whole batch. No reader is
-//!   pinned while a window is open, so tables and segments a TRANSFORMATION
-//!   replaces inside it are simply freed.
+//!   [`Sharded::remove_batch`] / [`Sharded::update_shard`] mutate through
+//!   `&self` while [`Sharded::read_view`] (or one-shot [`Sharded::with_shard`])
+//!   reads query the same shards. A writer takes the shard's write guard once
+//!   per `INGEST_CHUNK` edges, so reads flow between chunks instead of
+//!   waiting out the whole batch. No reader is inside a shard while its write
+//!   guard is held, so tables and segments a TRANSFORMATION replaces are
+//!   simply freed.
+//!
+//! A writer holds at most one shard's guard at a time, so an aggregate read
+//! may take every shard's read guard, in index order, before reading any
+//! (`edge_count`, `node_count`, `distinct_edge_count`): the counts it sums are
+//! one cut of the graph. A closure run under a read guard must not take a
+//! second read of the same shard: std's lock lets a waiting writer go first,
+//! and the second read would wait on that writer, which waits on the first.
 //!
 //! The per-shard engines inherit the tagged probe path wholesale: every batched
 //! group a shard thread settles runs the tagged-bucket scan, per-run hash
@@ -37,11 +42,12 @@
 //! `SHARD_SALT`, deliberately decorrelated from the engines' internal
 //! bucket hashing, so nothing is shared across the boundary to memoize.)
 
-use std::cell::UnsafeCell;
-use std::sync::{Mutex, MutexGuard};
+#![forbid(unsafe_code)]
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
 
 use crate::config::CuckooGraphConfig;
-use crate::epoch::{ReadCoordinator, ReadCounters};
 use crate::graph::CuckooGraph;
 use crate::hash::splitmix64;
 use crate::stats::StructureStats;
@@ -55,144 +61,74 @@ use graph_api::{
 /// engines' internal Bob-Hash seeds.
 const SHARD_SALT: u64 = 0x0005_eade_dc0c_0a75;
 
-/// Edges a concurrent writer settles per mutation window. Small enough that a
+/// Edges a concurrent writer settles per write guard. Small enough that a
 /// reader arriving mid-batch waits one chunk, not one batch; large enough
-/// that the window open/drain/close handshake amortizes to noise.
+/// that taking and releasing the lock amortizes to noise.
 const INGEST_CHUNK: usize = 512;
 
-/// One shard: the engine plus its read/write coordination state.
-///
-/// The `UnsafeCell` is governed by two invariants, together making every
-/// `&mut` derivation exclusive:
-///
-/// 1. mutation through `&ShardSlot` happens only inside [`ShardSlot::write`],
-///    which holds `write_gate` — writers never overlap each other;
-/// 2. readers hold a [`ReadCoordinator`] pin, which
-///    [`ReadCoordinator::begin_write`] drains before the writer touches the
-///    engine — writers never overlap readers (pinned by
-///    `writers_and_readers_exclude_each_other` in
-///    `tests/concurrent_read_model.rs`).
-///
-/// `&mut ShardSlot` access (the classic exclusive surface) needs neither: the
-/// borrow checker has already proven no `&ShardSlot` exists.
-struct ShardSlot<G> {
-    engine: UnsafeCell<G>,
-    coord: ReadCoordinator,
-    write_gate: Mutex<()>,
+/// The panic message of every access to a shard whose writer panicked
+/// mid-mutation.
+const POISONED: &str = "shard lock poisoned by a panicking writer";
+
+/// Shared-surface activity of a [`Sharded`] graph, summed over its shards and
+/// merged into [`crate::StructureStats`] by the sharded stats path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadCounters {
+    /// Reads that found the shard write-locked (or a writer waiting for it)
+    /// and parked until the writer was done.
+    pub reader_retries: u64,
+    /// Read guards taken: one per shared read of one shard.
+    pub read_pins: u64,
+    /// Write guards taken: one per `INGEST_CHUNK` of a shared-surface batch,
+    /// one per [`Sharded::update_shard`].
+    pub epoch_advances: u64,
 }
 
-/// Safety: all shared-access mutation is mediated by `write_gate` + the
-/// coordinator drain protocol (see the struct docs), so `&ShardSlot` never
-/// yields aliasing `&mut G`. `G: Send` moves engines across the fan-out's
-/// scoped threads; `G: Sync` covers the concurrent shared reads.
-#[allow(unsafe_code)]
-unsafe impl<G: Send + Sync> Sync for ShardSlot<G> {}
+/// One shard: the engine behind its reader/writer lock, plus the counters of
+/// the shared surface.
+struct ShardSlot<G> {
+    engine: RwLock<G>,
+    reader_retries: AtomicU64,
+    read_pins: AtomicU64,
+    epoch_advances: AtomicU64,
+}
 
-#[allow(unsafe_code)]
 impl<G> ShardSlot<G> {
     fn new(engine: G) -> Self {
         Self {
-            engine: UnsafeCell::new(engine),
-            coord: ReadCoordinator::new(),
-            write_gate: Mutex::new(()),
+            engine: RwLock::new(engine),
+            reader_retries: AtomicU64::new(0),
+            read_pins: AtomicU64::new(0),
+            epoch_advances: AtomicU64::new(0),
         }
     }
 
-    /// Exclusive access through an exclusive borrow — no coordination needed.
+    /// Exclusive access through an exclusive borrow — no locking needed.
     fn engine_mut(&mut self) -> &mut G {
-        self.engine.get_mut()
+        self.engine.get_mut().expect(POISONED)
     }
 
-    /// Pins reader slot `idx`, then refuses to serve an engine that a
-    /// panicking write closure left half-mutated. The check sits behind the
-    /// pin: a window that unwinds poisons the gate *before* it lets readers
-    /// through (see [`WindowGuard`]).
-    fn pin(&self, idx: usize, one_shot: bool) -> PinGuard<'_> {
-        self.coord.pin(idx);
-        let pin = PinGuard {
-            coord: &self.coord,
-            idx,
-            one_shot,
+    /// A read guard on the engine. Tries first, so a read that has to wait
+    /// for a writer is counted as a retry before it parks.
+    fn read(&self) -> RwLockReadGuard<'_, G> {
+        let guard = match self.engine.try_read() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => {
+                self.reader_retries.fetch_add(1, Ordering::Relaxed);
+                self.engine.read().expect(POISONED)
+            }
+            Err(TryLockError::Poisoned(_)) => panic!("{POISONED}"),
         };
-        assert!(!self.write_gate.is_poisoned(), "shard write gate poisoned");
-        pin
+        self.read_pins.fetch_add(1, Ordering::Relaxed);
+        guard
     }
 
-    /// A shared read of this shard's engine: registers, pins, reads, and
-    /// withdraws per the seqlock protocol.
-    fn read<R>(&self, f: impl FnOnce(&G) -> R) -> R {
-        let _pin = self.pin(self.coord.acquire_slot(), true);
-        // Safety: the pin holds, so no mutation window is open and a writer
-        // opening one drains this slot before it touches the engine.
-        f(unsafe { &*self.engine.get() })
-    }
-
-    /// Like [`ShardSlot::read`] but reusing an already registered reader slot
-    /// (a [`ShardReadView`] holds one per shard, so hot read loops skip the
-    /// registry CAS).
-    fn read_pinned<R>(&self, idx: usize, f: impl FnOnce(&G) -> R) -> R {
-        let _pin = self.pin(idx, false);
-        // Safety: as in `read` — pinned, so every writer's drain waits on us.
-        f(unsafe { &*self.engine.get() })
-    }
-
-    /// A write section through a shared borrow: gate → drained mutation
-    /// window → `f` → window closed.
-    fn write<R>(&self, f: impl FnOnce(&mut G) -> R) -> R {
-        let gate = self.write_gate.lock().expect("shard write gate poisoned");
-        let _window = WindowGuard::open(&self.coord, gate);
-        // Safety: the gate excludes other writers and `begin_write` drained
-        // every reader pin; new pins wait on the odd sequence word until the
-        // guard closes the window.
-        f(unsafe { &mut *self.engine.get() })
-    }
-}
-
-/// Unpins a reader slot even if the read closure panics, so a writer's drain
-/// loop is never left waiting on a dead reader. A one-shot read's guard also
-/// withdraws the registration it made.
-struct PinGuard<'c> {
-    coord: &'c ReadCoordinator,
-    idx: usize,
-    one_shot: bool,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.coord.unpin(self.idx);
-        if self.one_shot {
-            self.coord.release_slot(self.idx);
-        }
-    }
-}
-
-/// Closes a mutation window even if the write closure panics, so readers
-/// spinning in [`ReadCoordinator::pin`] are never left waiting on a dead
-/// writer. On unwind the gate is released — and thereby poisoned — *before*
-/// the sequence word turns even: a reader that gets through afterwards is
-/// ordered behind the poison flag by that `SeqCst` flip and panics in
-/// [`ShardSlot::pin`] instead of reading the half-mutated engine.
-struct WindowGuard<'c> {
-    coord: &'c ReadCoordinator,
-    gate: Option<MutexGuard<'c, ()>>,
-}
-
-impl<'c> WindowGuard<'c> {
-    fn open(coord: &'c ReadCoordinator, gate: MutexGuard<'c, ()>) -> Self {
-        coord.begin_write();
-        Self {
-            coord,
-            gate: Some(gate),
-        }
-    }
-}
-
-impl Drop for WindowGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.gate.take();
-        }
-        self.coord.end_write();
+    /// A write guard on the engine through a shared borrow. A write closure
+    /// that panics while holding it poisons the shard.
+    fn write(&self) -> RwLockWriteGuard<'_, G> {
+        let guard = self.engine.write().expect(POISONED);
+        self.epoch_advances.fetch_add(1, Ordering::Relaxed);
+        guard
     }
 }
 
@@ -266,11 +202,20 @@ impl<G> Sharded<G> {
         (splitmix64(u ^ SHARD_SALT) as usize) % self.slots.len()
     }
 
-    /// Runs `f` on shard `shard`'s engine (a one-shot read: registers and
-    /// withdraws a reader slot; hot loops should hold a
-    /// [`Sharded::read_view`] instead).
+    /// Runs `f` on shard `shard`'s engine under one read guard, held for the
+    /// whole call. `f` must not read the same shard again (see the module
+    /// docs).
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&G) -> R) -> R {
-        self.slots[shard].read(f)
+        f(&self.slots[shard].read())
+    }
+
+    /// Sums `count` over one cut of the graph: every shard's read guard is
+    /// taken, in index order, before any shard is read. A writer holds at
+    /// most one shard at a time, so this cannot deadlock with one, and the
+    /// sum is a state of the graph that no acknowledged write contradicts.
+    fn sum_over_cut(&self, count: impl Fn(&G) -> usize) -> usize {
+        let cut: Vec<_> = self.slots.iter().map(ShardSlot::read).collect();
+        cut.iter().map(|shard| count(shard)).sum()
     }
 
     /// Mutable access to the shard engine owning source node `u` (exclusive
@@ -281,27 +226,22 @@ impl<G> Sharded<G> {
         self.slots[idx].engine_mut()
     }
 
-    /// Opens a read guard over the whole graph: one registered reader slot
-    /// per shard, so every read through the view pins and validates without
-    /// re-registering. Holding a view does **not**
-    /// block `&self` writers — they drain the view's pins chunk by chunk.
-    ///
-    /// At most [`crate::MAX_READERS`] views (plus one-shot reads) can be
-    /// registered per shard at once; surplus callers spin until a slot frees.
+    /// The shared read surface of the graph. A view holds no lock: each
+    /// query through it takes its read guards and drops them before it
+    /// returns, so holding a view never blocks `&self` writers, and any
+    /// number of views may be live.
     pub fn read_view(&self) -> ShardReadView<'_, G> {
-        let slots = self.slots.iter().map(|s| s.coord.acquire_slot()).collect();
-        ShardReadView { graph: self, slots }
+        ShardReadView { graph: self }
     }
 
-    /// Summed read-coordinator counters across all shards (always readable
+    /// Shared-surface counters summed across all shards (always readable
     /// concurrently; all zero before any shared access).
     pub fn read_counters(&self) -> ReadCounters {
         let mut total = ReadCounters::default();
         for slot in &self.slots {
-            let c = slot.coord.counters();
-            total.reader_retries += c.reader_retries;
-            total.read_pins += c.read_pins;
-            total.epoch_advances += c.epoch_advances;
+            total.reader_retries += slot.reader_retries.load(Ordering::Relaxed);
+            total.read_pins += slot.read_pins.load(Ordering::Relaxed);
+            total.epoch_advances += slot.epoch_advances.load(Ordering::Relaxed);
         }
         total
     }
@@ -347,7 +287,7 @@ impl<G> Sharded<G> {
     }
 
     /// The shared-surface fan-out: groups `items` per shard and runs
-    /// `apply(engine, chunk)` inside gated write sections of at most
+    /// `apply(engine, chunk)` under one write guard per chunk of at most
     /// `INGEST_CHUNK` (512) items, one scoped thread per non-empty group.
     /// Concurrent readers flow between the chunks.
     pub fn concurrent_fan_out<T: Copy + Sync>(
@@ -371,7 +311,7 @@ impl<G> Sharded<G> {
                     scope.spawn(move || {
                         let mut done = 0usize;
                         for chunk in group.chunks(INGEST_CHUNK) {
-                            done += slot.write(|g| apply(g, chunk));
+                            done += apply(&mut slot.write(), chunk);
                         }
                         done
                     })
@@ -384,21 +324,22 @@ impl<G> Sharded<G> {
         })
     }
 
-    /// A single gated write section on the shard owning source node `u`,
+    /// Runs `f` under one write guard on the shard owning source node `u`,
     /// through `&self` — the per-command counterpart of the batched
     /// [`Sharded::ingest_batch`] fan-out, safe to run while
-    /// [`Sharded::read_view`] guards query the same shards. No threads are
-    /// spawned: the caller pays one gate lock plus one drained mutation
-    /// window, so a serving loop can apply individual commands without
+    /// [`Sharded::read_view`] queries read the same shards. No threads are
+    /// spawned, so a serving loop can apply individual commands without
     /// batch-sized latency.
     pub fn update_shard<R>(&self, u: NodeId, f: impl FnOnce(&mut G) -> R) -> R {
         let idx = self.shard_index(u);
-        self.slots[idx].write(f)
+        f(&mut self.slots[idx].write())
     }
 
     /// Runs `f` on every shard concurrently (one scoped thread per shard,
-    /// each a pinned read) and returns the per-shard results in shard order —
-    /// the building block for whole-graph parallel scans.
+    /// each under one read guard) and returns the per-shard results in shard
+    /// order — the building block for whole-graph parallel scans. Each
+    /// result is read at its own instant: a concurrent writer may land on one
+    /// shard between two others' passes, so the results are not one cut.
     pub fn par_map_shards<R: Send>(&self, f: impl Fn(&G) -> R + Sync) -> Vec<R>
     where
         G: Send + Sync,
@@ -409,7 +350,7 @@ impl<G> Sharded<G> {
                 .iter()
                 .map(|slot| {
                     let f = &f;
-                    scope.spawn(move || slot.read(f))
+                    scope.spawn(move || f(&slot.read()))
                 })
                 .collect();
             handles
@@ -475,24 +416,21 @@ impl<G: EdgeImport + Send> EdgeImport for Sharded<G> {
     }
 }
 
-/// A read guard over a [`Sharded`] graph: holds one registered reader slot
-/// per shard, so its queries pin/validate per the
-/// seqlock protocol without paying the registry CAS each time. Queries
-/// through the view are safe while `&self` writers
-/// ([`Sharded::ingest_batch`] etc.) mutate the same shards: each read either
-/// completes before a mutation window opens or waits the window out — it
-/// never observes torn state. Dropping the view withdraws its registrations.
+/// The shared read surface of a [`Sharded`] graph. Queries through the view
+/// are safe while `&self` writers ([`Sharded::ingest_batch`] etc.) mutate the
+/// same shards: each one takes the owning shard's read guard, so it runs
+/// wholly before or wholly after any write chunk and never observes torn
+/// state. The counts take one cut across all shards.
 #[derive(Debug)]
 pub struct ShardReadView<'a, G> {
     graph: &'a Sharded<G>,
-    /// Registered reader-slot index per shard.
-    slots: Vec<usize>,
 }
 
 impl<G> ShardReadView<'_, G> {
-    /// Runs `f` on shard `shard`'s engine under this view's registration.
+    /// Runs `f` on shard `shard`'s engine under one read guard (see
+    /// [`Sharded::with_shard`]).
     pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&G) -> R) -> R {
-        self.graph.slots[shard].read_pinned(self.slots[shard], f)
+        self.graph.with_shard(shard, f)
     }
 }
 
@@ -517,27 +455,22 @@ impl<G: DynamicGraph> ShardReadView<'_, G> {
         self.with_shard(self.graph.shard_index(u), |g| g.out_degree(u))
     }
 
-    /// Total stored edges (summed shard by shard; a concurrent writer may
-    /// land between shard reads, so the sum is a consistent-per-shard
-    /// snapshot, not a global one).
+    /// Total stored edges, read from one cut: every shard's read guard is
+    /// taken before any shard is counted.
     pub fn edge_count(&self) -> usize {
-        (0..self.graph.shard_count())
-            .map(|i| self.with_shard(i, DynamicGraph::edge_count))
-            .sum()
+        self.graph.sum_over_cut(DynamicGraph::edge_count)
     }
 
-    /// Total stored source nodes (same per-shard snapshot semantics as
-    /// [`ShardReadView::edge_count`]).
+    /// Total stored source nodes, read from one cut like
+    /// [`ShardReadView::edge_count`].
     pub fn node_count(&self) -> usize {
-        (0..self.graph.shard_count())
-            .map(|i| self.with_shard(i, DynamicGraph::node_count))
-            .sum()
+        self.graph.sum_over_cut(DynamicGraph::node_count)
     }
 }
 
 /// The serving layer's read-classification surface: every operation a RESP
-/// graph *read* command needs, answered through the view's registered reader
-/// slots — never through a writer gate.
+/// graph *read* command needs, answered under read guards — never by the
+/// writer.
 impl<G: DynamicGraph> GraphReadSnapshot for ShardReadView<'_, G> {
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         ShardReadView::has_edge(self, u, v)
@@ -560,31 +493,16 @@ impl<G: DynamicGraph> GraphReadSnapshot for ShardReadView<'_, G> {
     }
 }
 
-impl<G> Drop for ShardReadView<'_, G> {
-    fn drop(&mut self) {
-        for (slot, &idx) in self.graph.slots.iter().zip(&self.slots) {
-            slot.coord.release_slot(idx);
-        }
-    }
-}
-
 impl<G: Clone> Clone for Sharded<G> {
-    /// Clones the shard engines (each under its writer gate, so an in-flight
-    /// `&self` batch on the source finishes its shard first). The clone gets
-    /// fresh coordinators: registrations, pins, and read counters do not
-    /// carry over.
-    #[allow(unsafe_code)]
+    /// Clones the shard engines, each through a read guard (an in-flight
+    /// `&self` batch on the source finishes its current chunk first). The
+    /// clone's read counters start at zero.
     fn clone(&self) -> Self {
         Self {
             slots: self
                 .slots
                 .iter()
-                .map(|slot| {
-                    let _gate = slot.write_gate.lock().expect("shard write gate poisoned");
-                    // Safety: every `&mut G` is derived under the gate we
-                    // hold, and clone only reads.
-                    ShardSlot::new(unsafe { &*slot.engine.get() }.clone())
-                })
+                .map(|slot| ShardSlot::new(G::clone(&slot.read())))
                 .collect(),
         }
     }
@@ -631,8 +549,8 @@ impl Sharded<CuckooGraph> {
     }
 
     /// Merged structural statistics across all shards (counter sums), taken
-    /// through pinned reads — callable while `&self` writers ingest — and
-    /// topped with the read-coordinator counters.
+    /// under read guards — callable while `&self` writers ingest — and
+    /// topped with the shared-surface counters.
     pub fn stats(&self) -> StructureStats {
         let mut merged = StructureStats::default();
         for stats in self.par_map_shards(CuckooGraph::stats) {
@@ -701,7 +619,7 @@ impl<G: DynamicGraph + Send + Sync> Sharded<G> {
         std::thread::scope(|scope| {
             for slot in &self.slots {
                 let f = &f;
-                scope.spawn(move || slot.read(|shard| shard.for_each_node(&mut |u| f(u))));
+                scope.spawn(move || slot.read().for_each_node(&mut |u| f(u)));
             }
         });
     }
@@ -770,15 +688,11 @@ impl<G: DynamicGraph + Send + Sync> DynamicGraph for Sharded<G> {
     }
 
     fn edge_count(&self) -> usize {
-        (0..self.slots.len())
-            .map(|i| self.with_shard(i, DynamicGraph::edge_count))
-            .sum()
+        self.sum_over_cut(DynamicGraph::edge_count)
     }
 
     fn node_count(&self) -> usize {
-        (0..self.slots.len())
-            .map(|i| self.with_shard(i, DynamicGraph::node_count))
-            .sum()
+        self.sum_over_cut(DynamicGraph::node_count)
     }
 
     fn scheme(&self) -> GraphScheme {
@@ -828,9 +742,7 @@ impl<G: WeightedDynamicGraph + DynamicGraph + Send + Sync> WeightedDynamicGraph 
     }
 
     fn distinct_edge_count(&self) -> usize {
-        (0..self.slots.len())
-            .map(|i| self.with_shard(i, WeightedDynamicGraph::distinct_edge_count))
-            .sum()
+        self.sum_over_cut(WeightedDynamicGraph::distinct_edge_count)
     }
 }
 
@@ -981,7 +893,6 @@ mod tests {
         let mut degree = 0usize;
         view.for_each_successor(edges[0].0, &mut |_| degree += 1);
         assert_eq!(degree, view.out_degree(edges[0].0));
-        drop(view);
         assert!(g.read_counters().read_pins > 0);
     }
 
@@ -1161,14 +1072,14 @@ mod tests {
         assert!(died.is_err());
         assert_eq!(g.read_counters().epoch_advances, 2, "window left open");
 
-        // Readers must fail loudly, not spin on an odd sequence word — and
-        // not leak their registrations either (more one-shot reads than
-        // reader slots). A helper thread keeps a regression from hanging the
-        // suite.
+        // Readers must fail loudly, not wait on a dead writer or serve the
+        // half-mutated engine — every one of them (65 one-shot reads, one
+        // more than the old reader cap). A helper thread keeps a regression
+        // from hanging the suite.
         let (tx, rx) = std::sync::mpsc::channel();
         let reader = std::sync::Arc::clone(&g);
         std::thread::spawn(move || {
-            let one_shot = (0..=crate::MAX_READERS)
+            let one_shot = (0..65)
                 .all(|_| catch_unwind(AssertUnwindSafe(|| reader.with_shard(0, |_| ()))).is_err());
             let view = reader.read_view();
             let pinned = catch_unwind(AssertUnwindSafe(|| view.has_edge(1, 2))).is_err();

@@ -51,15 +51,15 @@ pub struct StructureStats {
     pub pool_misses: u64,
     /// Always 0, kept for `benchmark/` (see [`StructureStats::pool_hits`]).
     pub pool_retained_bytes: usize,
-    /// Concurrent-read pins that observed an open write window (or a torn
-    /// sequence word) and had to back off and retry. Counted by the shard
-    /// layer's read coordinators; always 0 for a serial engine.
+    /// Shared reads that found a shard write-locked (or a writer waiting for
+    /// it) and parked until the writer was done. Counted by the shard layer;
+    /// always 0 for a serial engine.
     pub reader_retries: u64,
-    /// Successful concurrent-read pins granted by the shard layer's read
-    /// coordinators; always 0 for a serial engine.
+    /// Read guards the shard layer's shared reads took, one per shard read;
+    /// always 0 for a serial engine.
     pub read_pins: u64,
-    /// Mutation windows closed by shard write sections; always 0 for a serial
-    /// engine.
+    /// Write guards the shard layer's shared writes took, one per ingest
+    /// chunk or single-command update; always 0 for a serial engine.
     pub epoch_advances: u64,
     /// Threshold-triggered in-place compactions of scan segments (cumulative;
     /// tombstone waste exceeded 1/4 of a segment's appended length).
@@ -79,7 +79,7 @@ pub struct StructureStats {
 impl StructureStats {
     /// Accumulates another snapshot into this one. Every field is additive
     /// across disjoint structures, so [`crate::Sharded`] merges per-shard
-    /// snapshots — each taken under that shard's own read protocol — without
+    /// snapshots — each taken under that shard's own read guard — without
     /// ever needing exclusive access to the whole graph.
     pub fn merge(&mut self, o: &StructureStats) {
         self.nodes += o.nodes;

@@ -226,9 +226,8 @@ pub trait DynamicGraph: MemoryFootprint {
 /// caller may scan all shards from scoped threads at once.
 ///
 /// The view is scoped to a closure rather than returned as a bare reference:
-/// implementations with concurrent writers bracket the closure with their
-/// read protocol (reader registration, seqlock validation), which a `&dyn`
-/// escaping the call could not honour.
+/// implementations with concurrent writers hold a read lock for the whole
+/// closure, which a `&dyn` escaping the call could not honour.
 ///
 /// ```
 /// use graph_api::{DynamicGraph, ShardedGraph};

@@ -13,9 +13,9 @@
 //!   with **one vectored write per wakeup**.
 //! * **Reads bypass the writer.** Dispatch classifies commands via
 //!   [`Server::classify_command`]: graph reads execute inline on the worker
-//!   against a [`Sharded::read_view`] snapshot — no mutex, no queue, no
-//!   hand-off. Workers never even hold a reference to the [`DurableServer`],
-//!   so the exclusion is structural, not a discipline.
+//!   through [`Sharded::read_view`], under the owning shards' read locks —
+//!   no queue, no hand-off. Workers never even hold a reference to the
+//!   [`DurableServer`], so the exclusion is structural, not a discipline.
 //! * **Writes funnel to one writer.** All mutating commands cross a bounded
 //!   MPSC queue to a single writer thread that owns the [`DurableServer`]
 //!   outright. The writer drains the queue in batches and feeds
@@ -33,7 +33,7 @@ use crate::module::Reply;
 use crate::net::Session;
 use crate::persist::DurableServer;
 use crate::server::{CommandClass, Server};
-use cuckoograph::{ReadCounters, ShardReadView, ShardedWeightedCuckooGraph, WeightedCuckooGraph};
+use cuckoograph::{ReadCounters, ShardedWeightedCuckooGraph};
 use graph_durability::Vfs;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -189,7 +189,7 @@ impl Reactor {
     /// Binds an ephemeral loopback listener and spawns the serving threads
     /// around `durable`. The [`DurableServer`] moves into the writer thread
     /// wholesale — after this call the only shared state is the graph's
-    /// epoch-protected read surface.
+    /// lock-guarded read surface.
     pub fn spawn<V>(durable: DurableServer<V>, cfg: ServerConfig) -> io::Result<Reactor>
     where
         V: Vfs + Send + 'static,
@@ -413,12 +413,11 @@ fn worker_loop(
 }
 
 /// Decodes every complete command buffered on `conn` and routes each one:
-/// graph reads execute inline against a lazily-pinned [`ShardReadView`]
-/// (when no same-connection write is in flight); everything else crosses the
-/// write queue. Each command claims the
-/// next sequence slot, so replies flush in submission order no matter which
-/// path answered first. One view covers the whole buffered burst and unpins
-/// on return.
+/// graph reads execute inline against the graph's read view (when no
+/// same-connection write is in flight); everything else crosses the write
+/// queue. Each command claims the next sequence slot, so replies flush in
+/// submission order no matter which path answered first. Each read takes and
+/// drops its own shard read guards.
 fn dispatch_buffered(
     worker: usize,
     conn_id: u64,
@@ -426,7 +425,7 @@ fn dispatch_buffered(
     graph: &ShardedWeightedCuckooGraph,
     write_tx: &SyncSender<WriteReq>,
 ) {
-    let mut view: Option<ShardReadView<'_, WeightedCuckooGraph>> = None;
+    let view = graph.read_view();
     while !conn.closing {
         match conn.session.next_value() {
             Ok(None) => return,
@@ -453,8 +452,7 @@ fn dispatch_buffered(
                         let inline_read = conn.writes_in_flight == 0
                             && Server::classify_command(&command) == CommandClass::GraphRead;
                         if inline_read {
-                            let snap = view.get_or_insert_with(|| graph.read_view());
-                            let reply = Server::graph_read_reply(snap, &command, &parts[1..]);
+                            let reply = Server::graph_read_reply(&view, &command, &parts[1..]);
                             let mut bytes = Vec::new();
                             Server::encode_reply_into(&reply, &mut bytes);
                             conn.fill(seq, bytes);

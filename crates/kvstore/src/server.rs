@@ -7,9 +7,10 @@
 //! Unlike the keyspace-scoped `graph.insert` module values, this graph is
 //! reachable *outside* the server (via [`Server::shared_graph`]), which is
 //! what lets the serving reactor answer `GRAPH.SUCCESSORS` / `GRAPH.DEGREE` /
-//! `GRAPH.HASEDGE` from a lock-free [`read_view`](cuckoograph::Sharded::read_view)
-//! while writes serialize through the durable writer. Every command still has
-//! a serial path through [`Server::execute`], which is what log replay runs.
+//! `GRAPH.HASEDGE` from a [`read_view`](cuckoograph::Sharded::read_view) under
+//! per-shard read locks while writes serialize through the durable writer.
+//! Every command still has a serial path through [`Server::execute`], which
+//! is what log replay runs.
 
 use crate::keyspace::{Keyspace, Value};
 use crate::module::{Module, Reply};

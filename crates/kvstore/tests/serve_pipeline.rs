@@ -186,7 +186,7 @@ fn concurrent_readers_under_ingest_match_the_serial_oracle() {
         reader.join().unwrap();
     }
 
-    // Readers really took the lock-free snapshot path.
+    // Readers really took the inline read-guard path.
     let pins_after = reactor.read_counters().read_pins;
     assert!(
         pins_after > pins_before,

@@ -1,9 +1,10 @@
-//! Property tests for the concurrency layer: lock-free reads under ingest.
+//! Property tests for the concurrency layer: reads under ingest, through one
+//! reader/writer lock per shard.
 //!
-//! The drained reader/writer handshake changes *when* a query runs relative
-//! to a shard's writer (between mutation windows instead of after the whole
-//! batch), never *what* either side computes — so three equivalences must
-//! hold under randomized insert/delete/expand/contract interleavings:
+//! The shard lock changes *when* a query runs relative to a shard's writer
+//! (between write chunks instead of after the whole batch), never *what*
+//! either side computes — so three equivalences must hold under randomized
+//! insert/delete/expand/contract interleavings:
 //!
 //! 1. **Safety under races**: readers running concurrently with a writer see
 //!    only committed states — every never-deleted edge on every pass, no
@@ -18,22 +19,26 @@
 //!    stats.
 //!
 //! Underneath all three sits the exclusion itself — no reader is inside a
-//! shard while a mutation window is open, and vice versa — which is what
-//! lets a window free the tables and segments it replaces on the spot;
+//! shard while a writer is, and vice versa — which is what lets a write chunk
+//! free the tables and segments it replaces on the spot;
 //! `writers_and_readers_exclude_each_other` pins it on a probe engine.
 //!
-//! Plus honest accounting: epoch advances equal the number of mutation
-//! windows the batches mathematically must open, and reader pins equal the
-//! reads issued.
+//! Plus honest accounting: epoch advances equal the number of write chunks
+//! the batches mathematically must take, and reader pins equal the reads
+//! issued; aggregate counts read one cut of all shards
+//! (`aggregate_counts_read_one_cut`); and the number of readers is not
+//! capped (`readers_are_not_capped`).
 
 use cuckoograph::{CuckooGraph, CuckooGraphConfig, NodeId, Sharded, ShardedCuckooGraph};
-use graph_api::DynamicGraph;
+use graph_api::{DynamicGraph, GraphScheme, MemoryFootprint};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 /// Churn batch sizes stay well past one ingest chunk (512) so every run
-/// opens several mutation windows per batch.
+/// takes several write guards per batch.
 #[cfg(debug_assertions)]
 const CHURN_EDGES: u64 = 1_500;
 #[cfg(not(debug_assertions))]
@@ -212,8 +217,8 @@ proptest! {
 }
 
 /// Window and pin accounting is exact, not advisory: a single-shard graph
-/// opens precisely `ceil(batch / 512)` mutation windows per shared-surface
-/// batch, and every view read pins exactly once.
+/// takes precisely `ceil(batch / 512)` write guards per shared-surface
+/// batch, and every view read takes exactly one read guard.
 #[test]
 fn epoch_and_pin_accounting_is_exact() {
     let g = ShardedCuckooGraph::new(1);
@@ -231,7 +236,6 @@ fn epoch_and_pin_accounting_is_exact() {
     for i in 0..50u64 {
         view.has_edge(i % 7, i);
     }
-    drop(view);
     assert_eq!(g.read_counters().read_pins, before + 50);
     assert_eq!(
         g.read_counters().reader_retries,
@@ -260,7 +264,8 @@ struct Probe {
 }
 
 /// The property every on-the-spot free stands on: a reader never runs while
-/// a mutation window is open, and a window never opens over a pinned reader.
+/// a writer holds the shard (a "mutation window"), and a writer never enters
+/// over a reader.
 /// Both sides yield inside their section so the other side gets scheduled
 /// there even on a single core.
 #[test]
@@ -318,4 +323,145 @@ fn writers_and_readers_exclude_each_other() {
         "a mutation window opened over a pinned reader"
     );
     assert_eq!(g.read_counters().epoch_advances, ROUNDS as u64);
+}
+
+/// A real engine whose `edge_count` parks once, when armed: it meets the
+/// test thread on `barrier` on entry, then waits there to be let go.
+struct Parking {
+    graph: CuckooGraph,
+    barrier: Arc<Barrier>,
+    armed: AtomicBool,
+}
+
+impl MemoryFootprint for Parking {
+    fn memory_bytes(&self) -> usize {
+        self.graph.memory_bytes()
+    }
+}
+
+impl DynamicGraph for Parking {
+    fn insert_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.graph.insert_edge(u, v)
+    }
+
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        self.graph.has_edge(u, v)
+    }
+
+    fn delete_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        self.graph.delete_edge(u, v)
+    }
+
+    fn for_each_successor(&self, u: NodeId, f: &mut dyn FnMut(NodeId)) {
+        self.graph.for_each_successor(u, f);
+    }
+
+    fn for_each_node(&self, f: &mut dyn FnMut(NodeId)) {
+        self.graph.for_each_node(f);
+    }
+
+    fn edge_count(&self) -> usize {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.barrier.wait();
+            self.barrier.wait();
+        }
+        self.graph.edge_count()
+    }
+
+    fn node_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
+    fn scheme(&self) -> GraphScheme {
+        self.graph.scheme()
+    }
+}
+
+/// One run of the ROADMAP item 13 anomaly against `aggregate`. Three shards
+/// hold one edge each on shards 0 and 2 (N = 2). The aggregate parks inside
+/// shard 1's count, after its turn at shard 0 and before its turn at shard 2.
+/// A writer then adds an edge on shard 0 (W1) and, once W1 is acknowledged,
+/// deletes the edge on shard 2 (W3). Real time orders W1 before W3, so the
+/// only counts a linearizable read may return are N and N + 1. A sum of
+/// per-shard reads returns N − 1: it misses W1 and sees W3. A cut holds every
+/// shard before reading any, so both writes wait for the aggregate and it
+/// returns N whatever the timeout below.
+fn aggregate_sees_a_linearizable_count(aggregate: fn(&Sharded<Parking>) -> usize) {
+    let barrier = Arc::new(Barrier::new(2));
+    let g = Sharded::from_fn(3, |_| Parking {
+        graph: CuckooGraph::new(),
+        barrier: Arc::clone(&barrier),
+        armed: AtomicBool::new(false),
+    });
+    let source_on = |shard| (0..).find(|&u| g.shard_index(u) == shard).unwrap();
+    let (u0, u2) = (source_on(0), source_on(2));
+    g.update_shard(u0, |p| p.insert_edge(u0, 1));
+    g.update_shard(u2, |p| p.insert_edge(u2, 1));
+    g.with_shard(1, |p| p.armed.store(true, Ordering::SeqCst));
+
+    let (acks, acked) = mpsc::channel();
+    let (count, final_count) = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| aggregate(&g));
+        barrier.wait(); // the aggregate is parked inside shard 1's count
+        let writer = scope.spawn(|| {
+            g.update_shard(u0, |p| p.insert_edge(u0, 2)); // W1
+            g.update_shard(u2, |p| p.delete_edge(u2, 1)); // W3
+            acks.send(()).ok();
+        });
+        let w3_landed_inside = acked.recv_timeout(Duration::from_millis(300)).is_ok();
+        barrier.wait(); // let the aggregate go on
+        let count = reader.join().unwrap();
+        writer.join().unwrap();
+        assert!(
+            !w3_landed_inside,
+            "W1 and W3 were acknowledged while an aggregate was in flight \
+             (it returned {count})"
+        );
+        (count, aggregate(&g))
+    });
+    assert_eq!(count, 2, "the aggregate did not read one cut");
+    assert_eq!(final_count, 2);
+}
+
+/// `EDGECOUNT`-style aggregates, through the view and through the graph,
+/// read every shard at one instant (ROADMAP item 13(b)).
+#[test]
+fn aggregate_counts_read_one_cut() {
+    aggregate_sees_a_linearizable_count(|g| g.read_view().edge_count());
+    aggregate_sees_a_linearizable_count(DynamicGraph::edge_count);
+}
+
+/// Takes `depth` one-shot reads of `shard`, each inside the one before, and
+/// counts the reads that saw edge `(1, 2)`. Nesting reads of one shard is
+/// only safe with no writer about, as here.
+fn nested_reads(g: &ShardedCuckooGraph, shard: usize, depth: usize) -> usize {
+    if depth == 0 {
+        return 0;
+    }
+    g.with_shard(shard, |engine| {
+        usize::from(engine.has_edge(1, 2)) + nested_reads(g, shard, depth - 1)
+    })
+}
+
+/// Any number of readers may hold a view or sit inside a read at once: 65
+/// live views and 65 nested one-shot reads on one thread each get an answer.
+/// A helper thread keeps a regression from hanging the suite.
+#[test]
+fn readers_are_not_capped() {
+    const READERS: usize = 65;
+    let g = Arc::new(ShardedCuckooGraph::new(2));
+    g.ingest_batch(&[(1, 2)]);
+    let (tx, rx) = mpsc::channel();
+    let reader = Arc::clone(&g);
+    std::thread::spawn(move || {
+        let views: Vec<_> = (0..READERS).map(|_| reader.read_view()).collect();
+        let answered = views.iter().filter(|view| view.has_edge(1, 2)).count();
+        let nested = nested_reads(&reader, reader.shard_index(1), READERS);
+        tx.send((answered, nested)).ok();
+    });
+    let (answered, nested) = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a reader past the 64th never got in");
+    assert_eq!(answered, READERS);
+    assert_eq!(nested, READERS);
 }
